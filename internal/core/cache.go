@@ -79,31 +79,22 @@ func (p *Planner) CacheStats() CacheStats {
 	return p.cstats
 }
 
-// mergeOp says how a summary column combines across disjoint row partitions.
-type mergeOp int
-
-const (
-	mergeAdd mergeOp = iota // sum, count
-	mergeMin
-	mergeMax
-)
-
-// mergeOpFor classifies an aggregate call for incremental maintenance.
-// DISTINCT and avg are not distributive over row partitions, so summaries
-// containing them rebuild on DML instead.
-func mergeOpFor(call *expr.AggCall) (mergeOp, bool) {
+// mergeOpFor is the one distributive check for incremental maintenance and
+// lattice derivation: it returns the super-aggregate that combines a
+// summary column across disjoint row partitions — sum for sum and count,
+// min for min, max for max. DISTINCT and avg are not distributive over row
+// partitions, so summaries containing them rebuild on DML instead.
+func mergeOpFor(call *expr.AggCall) (expr.AggFn, bool) {
 	if call.Distinct {
-		return 0, false
+		return "", false
 	}
 	switch call.Fn {
 	case expr.AggSum, expr.AggCount:
-		return mergeAdd, true
-	case expr.AggMin:
-		return mergeMin, true
-	case expr.AggMax:
-		return mergeMax, true
+		return expr.AggSum, true
+	case expr.AggMin, expr.AggMax:
+		return call.Fn, true
 	default:
-		return 0, false
+		return "", false
 	}
 }
 
@@ -111,13 +102,13 @@ func mergeOpFor(call *expr.AggCall) (mergeOp, bool) {
 // the statement shape of its build (re-aggregated over just the delta rows,
 // or over the full base table on rebuild) and the per-column merge ops.
 type deltaMeta struct {
-	base    string // base table F
-	where   string // " WHERE …" or ""
-	groupBy string // " GROUP BY …" or ""
-	selects string // rendered select list of the build INSERT
-	colDefs string // rendered column list of the summary's CREATE TABLE
-	nGroup  int    // leading group-key columns; the rest are aggregates
-	merges  []mergeOp
+	base    string       // base table F
+	where   string       // " WHERE …" or ""
+	groupBy string       // " GROUP BY …" or ""
+	selects string       // rendered select list of the build INSERT
+	colDefs string       // rendered column list of the summary's CREATE TABLE
+	nGroup  int          // leading group-key columns; the rest are aggregates
+	merges  []expr.AggFn // per aggregate column, from mergeOpFor
 }
 
 // summaryEntry is one cached summary. All fields are guarded by the
@@ -377,9 +368,9 @@ func (p *Planner) cacheDeltaStep(e *summaryEntry, newT, what string) Step {
 	}
 }
 
-// cacheStride mirrors the engine's governor stride: native cache loops
-// check cancellation once per this many rows.
-const cacheStride = 1024
+// nativeStride mirrors the engine's governor stride: native loops (cache
+// maintenance, pivot emit) check cancellation once per this many rows.
+const nativeStride = 1024
 
 // publish modes for cachePublishReplace.
 const (
@@ -538,7 +529,7 @@ func (p *Planner) cacheDeltaMerge(ctx context.Context, eng *engine.Engine, paral
 	}
 	var rowBuf []value.Value
 	for r := st.from; r < st.to; r++ {
-		if (r-st.from)%cacheStride == 0 {
+		if (r-st.from)%nativeStride == 0 {
 			if err := engine.CheckCtx(ctx); err != nil {
 				return err
 			}
@@ -576,7 +567,7 @@ func (p *Planner) cacheDeltaMerge(ctx context.Context, eng *engine.Engine, paral
 	merged := make([][]value.Value, 0, old.NumRows()+roll.NumRows())
 	pos := make(map[string]int, old.NumRows())
 	for r := 0; r < old.NumRows(); r++ {
-		if r%cacheStride == 0 {
+		if r%nativeStride == 0 {
 			if err := engine.CheckCtx(ctx); err != nil {
 				return err
 			}
@@ -594,7 +585,9 @@ func (p *Planner) cacheDeltaMerge(ctx context.Context, eng *engine.Engine, paral
 		if i, exists := pos[key]; exists {
 			at := merged[i]
 			for c := n; c < len(row); c++ {
-				at[c] = mergeValues(meta.merges[c-n], at[c], row[c])
+				if at[c], err = engine.MergeCell(meta.merges[c-n], at[c], row[c]); err != nil {
+					return err
+				}
 			}
 			continue
 		}
@@ -609,7 +602,7 @@ func (p *Planner) cacheDeltaMerge(ctx context.Context, eng *engine.Engine, paral
 		return err
 	}
 	for i, row := range merged {
-		if i%cacheStride == 0 {
+		if i%nativeStride == 0 {
 			if err := engine.CheckCtx(ctx); err != nil {
 				return err
 			}
@@ -668,58 +661,6 @@ func (p *Planner) cacheRebuild(ctx context.Context, eng *engine.Engine, parallel
 	p.cachePublishReplace(e, newT, preEpoch, preRows, mode, false)
 	ok = true
 	return nil
-}
-
-// mergeValues combines one aggregate cell across two disjoint row
-// partitions, mirroring the engine's distributive fold: NULL is the
-// identity, integer sums stay integers (so merged results are bit-identical
-// to a cold aggregation), mixed numeric types demote to float.
-func mergeValues(op mergeOp, a, b value.Value) value.Value {
-	if a.IsNull() {
-		return b
-	}
-	if b.IsNull() {
-		return a
-	}
-	switch op {
-	case mergeAdd:
-		if a.Kind() == value.KindInt && b.Kind() == value.KindInt {
-			return value.NewInt(a.Int() + b.Int())
-		}
-		af, _ := a.AsFloat()
-		bf, _ := b.AsFloat()
-		return value.NewFloat(af + bf)
-	case mergeMin:
-		if lessValue(b, a) {
-			return b
-		}
-		return a
-	default: // mergeMax
-		if lessValue(a, b) {
-			return b
-		}
-		return a
-	}
-}
-
-// lessValue orders two non-NULL values the way min/max do: numerics
-// numerically, strings lexically, bools false-first.
-func lessValue(a, b value.Value) bool {
-	if a.Kind() == value.KindInt && b.Kind() == value.KindInt {
-		return a.Int() < b.Int()
-	}
-	if a.IsNumeric() && b.IsNumeric() {
-		af, _ := a.AsFloat()
-		bf, _ := b.AsFloat()
-		return af < bf
-	}
-	if a.Kind() == value.KindString && b.Kind() == value.KindString {
-		return a.Str() < b.Str()
-	}
-	if a.Kind() == value.KindBool && b.Kind() == value.KindBool {
-		return !a.Bool() && b.Bool()
-	}
-	return a.String() < b.String()
 }
 
 // isLifecycleErr reports whether err is cancellation, a budget, or a

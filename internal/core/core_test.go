@@ -475,16 +475,48 @@ func TestHaggCountDistinctDirect(t *testing.T) {
 	}
 }
 
+// newNullMeasurePlanner loads a fact table in which one (group,
+// combination) holds only NULL measures: g=1 has two d=2 rows with NULL a.
+// g=2 has no d=2 row at all.
+func newNullMeasurePlanner(t *testing.T) *Planner {
+	t.Helper()
+	eng := engine.New(storage.NewCatalog())
+	mustExec(t, eng, `CREATE TABLE f (g INTEGER, d INTEGER, a INTEGER)`)
+	mustExec(t, eng, `INSERT INTO f VALUES (1, 1, 5), (1, 2, NULL), (1, 2, NULL), (2, 1, 7), (2, 3, 4)`)
+	return NewPlanner(eng)
+}
+
 func TestHaggHashPivotAgrees(t *testing.T) {
-	for _, q := range []string{
-		"SELECT store, sum(salesAmt BY dweek) FROM daily GROUP BY store",
-		"SELECT store, max(1 BY dweek DEFAULT 0) FROM daily GROUP BY store",
-	} {
-		p := newSalesPlanner(t)
-		base := runQuery(t, p, q, DefaultOptions())
-		p2 := newSalesPlanner(t)
-		piv := runQuery(t, p2, q, Options{Hagg: HaggOptions{Method: HaggCASE, HashPivot: true}})
-		sameResults(t, q, base, piv)
+	cases := []struct {
+		load func(*testing.T) *Planner
+		q    string
+	}{
+		{newSalesPlanner, "SELECT store, sum(salesAmt BY dweek) FROM daily GROUP BY store"},
+		{newSalesPlanner, "SELECT store, max(1 BY dweek DEFAULT 0) FROM daily GROUP BY store"},
+		{newNullMeasurePlanner, "SELECT g, count(a BY d) FROM f GROUP BY g"},
+	}
+	for _, c := range cases {
+		base := runQuery(t, c.load(t), c.q, DefaultOptions())
+		piv := runQuery(t, c.load(t), c.q, Options{Hagg: HaggOptions{Method: HaggCASE, HashPivot: true}})
+		sameResults(t, c.q, base, piv)
+	}
+
+	// A combination whose rows all have NULL measures counts 0, as CASE and
+	// SPJ give; a combination without rows stays NULL.
+	q := "SELECT g, count(a BY d) FROM f GROUP BY g"
+	spj := runQuery(t, newNullMeasurePlanner(t), q, Options{Hagg: HaggOptions{Method: HaggSPJ}})
+	piv := runQuery(t, newNullMeasurePlanner(t), q, Options{Hagg: HaggOptions{Method: HaggCASE, HashPivot: true}})
+	sameResults(t, q+" (SPJ)", spj, piv)
+	want := [][]string{{"1", "1", "0", "NULL"}, {"2", "1", "NULL", "1"}}
+	for i, row := range piv.Rows {
+		for j, v := range row {
+			if i < len(want) && v.String() != want[i][j] {
+				t.Errorf("%s: row %d col %s = %v, want %s", q, i, piv.Columns[j], v, want[i][j])
+			}
+		}
+	}
+	if len(piv.Rows) != len(want) {
+		t.Errorf("%s: %d rows, want %d", q, len(piv.Rows), len(want))
 	}
 }
 

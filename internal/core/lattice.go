@@ -16,17 +16,9 @@ import (
 const maxLatticeNodes = 256
 
 // mergeSelect renders the re-aggregation of an already aggregated column one
-// lattice level coarser: distributive aggregates fold with sum (sum and
-// count both add), min with min, max with max.
-func mergeSelect(op mergeOp, col string) string {
-	switch op {
-	case mergeMin:
-		return "min(" + quoteIdent(col) + ")"
-	case mergeMax:
-		return "max(" + quoteIdent(col) + ")"
-	default:
-		return "sum(" + quoteIdent(col) + ")"
-	}
+// lattice level coarser with its super-aggregate fn (see mergeOpFor).
+func mergeSelect(fn expr.AggFn, col string) string {
+	return string(fn) + "(" + quoteIdent(col) + ")"
 }
 
 // planLattice generates the evaluation plan for GROUP BY ROLLUP / CUBE /
@@ -156,14 +148,14 @@ func (p *Planner) planLattice(a *analysis, opts Options) (*Plan, error) {
 		fsCols = append(fsCols, colDef(g, a.schema[a.schema.ColumnIndex(g)].Type))
 		fsSelect = append(fsSelect, quoteIdent(g))
 	}
-	merges := make([]mergeOp, 0, len(measureOrder)+len(extras)+1)
+	merges := make([]expr.AggFn, 0, len(measureOrder)+len(extras)+1)
 	for _, m := range measureOrder {
 		fsCols = append(fsCols, colDef(m.col, exprType(m.arg, a.schema)))
 		fsSelect = append(fsSelect, "sum("+m.sql+")")
-		merges = append(merges, mergeAdd)
+		merges = append(merges, expr.AggSum)
 	}
 	extraCol := map[int]string{}
-	extraOp := map[int]mergeOp{}
+	extraOp := map[int]expr.AggFn{}
 	for n, idx := range extras {
 		call := a.items[idx].agg
 		col := fmt.Sprintf("x%d", n+1)
@@ -181,7 +173,7 @@ func (p *Planner) planLattice(a *analysis, opts Options) (*Plan, error) {
 	if filler {
 		fsCols = append(fsCols, colDef("cnt", storage.TypeInt))
 		fsSelect = append(fsSelect, "count(*)")
-		merges = append(merges, mergeAdd)
+		merges = append(merges, expr.AggSum)
 	}
 
 	// Same key layout as planVertical's Fk, so lattice and plain Vpct plans

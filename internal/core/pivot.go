@@ -2,15 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
-	"repro/internal/chaos"
-	"repro/internal/diag"
 	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -21,10 +15,11 @@ import (
 // The CASE strategies evaluate N boolean conjunctions per input row even
 // though the conjunctions are disjoint — one row falls in exactly one result
 // column. The paper observes the optimizer could map a row to its column in
-// O(1) with a hash table. These native steps implement that proposal: a
-// single scan of F hashing (D1..Dj) to a group and (Dj+1..Dk) to a column
-// index. They exist as an ablation of the CASE evaluation cost; results are
-// identical to the SQL plans.
+// O(1) with a hash table. These native steps implement that proposal: they
+// map (D1..Dj) to a group and (Dj+1..Dk) to a column index and hand the scan
+// to the engine's hash-pivot kernel (engine.Engine.Pivot). They exist as an
+// ablation of the CASE evaluation cost; results are identical to the SQL
+// plans.
 
 // planHpctHashPivot finishes a direct Hpct plan with a native pivot step.
 func (p *Planner) planHpctHashPivot(plan *Plan, a *analysis, call *expr.AggCall,
@@ -113,221 +108,18 @@ func (p *Planner) emitPivotTable(plan *Plan, a *analysis, groupNames, valueNames
 	return fh, nil
 }
 
-// pivotRowBox adapts a reusable row buffer to expr.Row without per-call
-// interface boxing.
-type pivotRowBox struct{ vals []value.Value }
-
-// ColumnValue returns the i-th value.
-func (b *pivotRowBox) ColumnValue(i int) value.Value { return b.vals[i] }
-
-// lazyPivotRow adapts one stored row to expr.Row, materializing only the
-// cells the expression touches — the batched scan's view for WHERE and the
-// measure, mirroring engine/batch.go's lazyRow.
-type lazyPivotRow struct {
-	tab *storage.Table
-	r   int
-}
-
-func (l *lazyPivotRow) ColumnValue(i int) value.Value { return l.tab.Get(l.r, i) }
-
-// cellGetter reads one column cell, boxing only that cell. Typed getters
-// resolve the column vector once instead of per row.
-type cellGetter func(r int) value.Value
-
-// colGetter builds a typed cellGetter for one column of t.
-func colGetter(t *storage.Table, idx int) cellGetter {
-	if ints, isNull, ok := t.IntColumn(idx); ok {
-		return func(r int) value.Value {
-			if isNull(r) {
-				return value.Null
-			}
-			return value.NewInt(ints[r])
-		}
-	}
-	if flts, isNull, ok := t.FloatColumn(idx); ok {
-		return func(r int) value.Value {
-			if isNull(r) {
-				return value.Null
-			}
-			return value.NewFloat(flts[r])
-		}
-	}
-	if strs, isNull, ok := t.StringColumn(idx); ok {
-		return func(r int) value.Value {
-			if isNull(r) {
-				return value.Null
-			}
-			return value.NewString(strs[r])
-		}
-	}
-	if bools, isNull, ok := t.BoolColumn(idx); ok {
-		return func(r int) value.Value {
-			if isNull(r) {
-				return value.Null
-			}
-			return value.NewBool(bools[r])
-		}
-	}
-	return func(r int) value.Value { return t.Get(r, idx) }
-}
-
-// Pivot batch metrics: hash-pivot scans that ran with columnar row access
-// vs. ones pinned to the boxed-row path by an injected core.batch fault.
-var (
-	mPivotBatch         = obs.Default.Counter("batch.pivot.folds")
-	mPivotBatchFallback = obs.Default.Counter("batch.pivot.fallbacks")
-)
-
-// pivotAcc folds one (group, column) cell.
-type pivotAcc struct {
-	fn       expr.AggFn
-	seen     bool
-	sum      float64
-	sumInt   int64
-	isInt    bool
-	count    int64
-	best     value.Value
-	nonNullC int64 // rows whose CASE output is non-null (for pct zero fill)
-}
-
-func (acc *pivotAcc) add(v value.Value) {
-	if v.IsNull() {
-		return
-	}
-	acc.nonNullC++
-	switch acc.fn {
-	case expr.AggSum, expr.AggAvg, expr.AggVpct, expr.AggHpct:
-		f, _ := v.AsFloat()
-		if !acc.seen {
-			acc.isInt = v.Kind() == value.KindInt
-		} else if v.Kind() != value.KindInt {
-			acc.isInt = false
-		}
-		if i, ok := v.AsInt(); ok && v.Kind() == value.KindInt {
-			acc.sumInt += i
-		}
-		acc.sum += f
-		acc.count++
-	case expr.AggCount:
-		acc.count++
-	case expr.AggMin:
-		if !acc.seen || value.Compare(v, acc.best) < 0 {
-			acc.best = v
-		}
-	case expr.AggMax:
-		if !acc.seen || value.Compare(v, acc.best) > 0 {
-			acc.best = v
-		}
-	}
-	acc.seen = true
-}
-
-// merge folds a disjoint partition's cell state into the receiver (same
-// semantics as the engine accumulators' merge: add(all rows) ≡ merged
-// partials). Integer sums stay exact via sumInt; isInt holds only if every
-// partition saw only integers.
-func (acc *pivotAcc) merge(o *pivotAcc) {
-	if !o.seen {
-		return
-	}
-	if !acc.seen {
-		*acc = *o
-		return
-	}
-	acc.nonNullC += o.nonNullC
-	switch acc.fn {
-	case expr.AggSum, expr.AggAvg, expr.AggVpct, expr.AggHpct:
-		acc.sum += o.sum
-		acc.sumInt += o.sumInt
-		acc.isInt = acc.isInt && o.isInt
-		acc.count += o.count
-	case expr.AggCount:
-		acc.count += o.count
-	case expr.AggMin:
-		if value.Compare(o.best, acc.best) < 0 {
-			acc.best = o.best
-		}
-	case expr.AggMax:
-		if value.Compare(o.best, acc.best) > 0 {
-			acc.best = o.best
-		}
-	}
-}
-
-func (acc *pivotAcc) result() value.Value {
-	if !acc.seen {
-		return value.Null
-	}
-	switch acc.fn {
-	case expr.AggSum:
-		if acc.isInt {
-			return value.NewInt(acc.sumInt)
-		}
-		return value.NewFloat(acc.sum)
-	case expr.AggCount:
-		return value.NewInt(acc.count)
-	case expr.AggAvg:
-		return value.NewFloat(acc.sum / float64(acc.count))
-	case expr.AggMin, expr.AggMax:
-		return acc.best
-	default:
-		return value.NewFloat(acc.sum)
-	}
-}
-
-// pivotWorkers mirrors the engine's parallelism semantics (see
-// internal/engine/parallel.go): 0 → one worker per CPU gated by a
-// small-input threshold, 1 → sequential, n > 1 → n workers, capped by the
-// row count.
-func pivotWorkers(parallelism, rows int) int {
-	w := parallelism
-	switch {
-	case w == 1:
-		return 1
-	case w <= 0:
-		if rows < 8192 {
-			return 1
-		}
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > rows {
-		w = rows
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// pivotStride mirrors the engine's governor stride: governed pivot loops
-// check cancellation and budgets once per this many rows, bounding both the
-// hot-path overhead and the rows processed after a cancel.
-const pivotStride = 1024
-
-// runPivot scans F, hashing each row to its group and result column. For
-// percentage mode it also folds the per-group total and divides at emit
-// time, NULLing zero or all-NULL totals like the SQL plans do. With
-// parallelism != 1 the scan is partitioned into contiguous row ranges folded
-// by worker goroutines and merged in partition order, preserving the
-// sequential group order (same model as the engine's parallel aggregation).
-// span, when non-nil, receives the pivot's stage breakdown: a sequential fold
-// span or a concurrent partition fan-out with one child per worker plus a
-// merge span, then the emit span that writes FH.
-//
-// Lifecycle mirrors the engine's governed aggregation: workers stride-check
-// ctx, group allocations are charged against MaxGroups across all workers, a
-// failing worker's panic is contained into a typed PCT206 error and cancels
-// its siblings, and error selection is deterministic — the lowest-numbered
-// partition's real error wins, sibling-cancel noise is reported only when
-// nothing else failed.
+// runPivot hash-pivots F into FH: the engine's pivot kernel folds each
+// row into its (group, column) cell on the partitioned fold driver, under
+// the step's context, limits and parallelism, and this step writes the
+// cells out. In percentage mode each cell is divided by the group total at
+// emit time, with NULL for zero or all-NULL totals like the SQL plans.
+// span receives the fold's spans (a sequential "pivot fold", or a
+// concurrent partition fan-out with one child per worker plus a merge),
+// then the emit span that writes FH.
 func runPivot(ctx context.Context, eng *engine.Engine, table, fh string, groupCols []string,
 	call *expr.AggCall, combos []combo, where expr.Expr, pct bool, deflt *value.Value,
 	parallelism int, span *obs.Span) error {
 
-	lim := eng.Limits()
-	if l, ok := engine.LimitsFromContext(ctx); ok {
-		lim = l
-	}
 	src, err := eng.Catalog().Get(table)
 	if err != nil {
 		return err
@@ -337,360 +129,68 @@ func runPivot(ctx context.Context, eng *engine.Engine, table, fh string, groupCo
 		return err
 	}
 	schema := src.Schema()
-	names := schema.Names()
-	resolver := expr.SchemaResolver(names)
-
-	groupIdx := make([]int, len(groupCols))
-	for i, g := range groupCols {
-		groupIdx[i] = schema.ColumnIndex(g)
-	}
-	byIdx := make([]int, len(call.By))
-	for i, b := range call.By {
-		byIdx[i] = schema.ColumnIndex(b)
-	}
-	var measure expr.Expr
-	if call.Arg != nil {
-		measure, err = expr.Bind(call.Arg, resolver)
-		if err != nil {
-			return err
-		}
-	}
-	var pred expr.Expr
-	if where != nil {
-		pred, err = expr.Bind(where, resolver)
-		if err != nil {
-			return err
-		}
-	}
-
-	colOf := make(map[string]int, len(combos))
-	for i, c := range combos {
-		colOf[value.EncodeKeyString(c.vals...)] = i
-	}
-
-	// Row-access strategy. The boxed path materializes every column of the
-	// row once per iteration; with vectorized execution enabled the scan
-	// reads only the cells it touches — typed getters for the grouping and
-	// BY columns, a lazy row view for WHERE and the measure. The values,
-	// evaluation order, and errors are identical either way. An injected
-	// core.batch fault pins the boxed path for this statement (the silent-
-	// fallback contract of the fault point).
-	batched := eng.BatchEnabled()
-	if batched {
-		if err := chaos.Hit(chaos.CoreBatch); err != nil {
-			batched = false
-		}
-	}
-	var groupGet, byGet []cellGetter
-	if batched {
-		mPivotBatch.Inc()
-		for _, gi := range groupIdx {
-			groupGet = append(groupGet, colGetter(src, gi))
-		}
-		for _, bi := range byIdx {
-			byGet = append(byGet, colGetter(src, bi))
-		}
-	} else {
-		mPivotBatchFallback.Inc()
-	}
-
-	type group struct {
-		keyVals []value.Value
-		cells   []pivotAcc
-		total   pivotAcc
-	}
-
-	fn := call.Fn
+	resolver := expr.SchemaResolver(schema.Names())
+	spec := engine.PivotSpec{Table: src, Cell: call, Total: pct, Columns: make(map[string]int, len(combos))}
 	if pct {
-		fn = expr.AggSum
+		// Cells hold the measure sums the emit step divides by the total.
+		spec.Cell = &expr.AggCall{Fn: expr.AggSum}
 	}
-	if call.Star {
-		fn = expr.AggCount
+	for _, g := range groupCols {
+		spec.Group = append(spec.Group, schema.ColumnIndex(g))
 	}
-
-	// totalGroups counts group allocations across every partition, charged
-	// against MaxGroups. Groups shared across partitions are counted once per
-	// partition — an over-approximation, same budget semantics as the
-	// engine's parallel aggregation.
-	var totalGroups int64
-
-	// scanPart folds the contiguous row range [lo, hi) into a private group
-	// map, returning the encoded keys in local first-appearance order. The
-	// bound expressions (pred, measure) are stateless under Eval and shared
-	// across workers; concurrent Table.Row reads are safe (the engine
-	// serializes writes per statement). sctx is the worker's view of the
-	// statement context — the fan-out's cancel context in the parallel case —
-	// checked every pivotStride rows.
-	scanPart := func(sctx context.Context, lo, hi int) (map[string]*group, []string, error) {
-		groups := make(map[string]*group)
-		var order []string
-		var rowBuf []value.Value
-		var box pivotRowBox
-		lr := lazyPivotRow{tab: src}
-		keyBuf := make([]byte, 0, 64)
-		byBuf := make([]byte, 0, 64)
-		for r := lo; r < hi; r++ {
-			if (r-lo)%pivotStride == 0 && r > lo {
-				if err := engine.CheckCtx(sctx); err != nil {
-					return nil, nil, err
-				}
-			}
-			var rv expr.Row
-			if batched {
-				lr.r = r
-				rv = &lr
-			} else {
-				rowBuf = src.Row(r, rowBuf)
-				box.vals = rowBuf
-				rv = &box
-			}
-			if pred != nil {
-				v, err := pred.Eval(rv)
-				if err != nil {
-					return nil, nil, err
-				}
-				if !v.Truthy() {
-					continue
-				}
-			}
-			keyBuf = keyBuf[:0]
-			if batched {
-				for _, get := range groupGet {
-					keyBuf = value.AppendKey(keyBuf, get(r))
-				}
-			} else {
-				for _, gi := range groupIdx {
-					keyBuf = value.AppendKey(keyBuf, rowBuf[gi])
-				}
-			}
-			g, ok := groups[string(keyBuf)]
-			if !ok {
-				if err := chaos.Hit(chaos.PivotAlloc); err != nil {
-					return nil, nil, err
-				}
-				if n := atomic.AddInt64(&totalGroups, 1); lim.MaxGroups > 0 && n > lim.MaxGroups {
-					return nil, nil, &engine.LimitError{
-						PCTCode:  diag.CodeGroupLimit,
-						Resource: "group",
-						Limit:    lim.MaxGroups,
-					}
-				}
-				g = &group{cells: make([]pivotAcc, len(combos))}
-				for i := range g.cells {
-					g.cells[i].fn = fn
-				}
-				g.total.fn = expr.AggSum
-				if batched {
-					for _, get := range groupGet {
-						g.keyVals = append(g.keyVals, get(r))
-					}
-				} else {
-					for _, gi := range groupIdx {
-						g.keyVals = append(g.keyVals, rowBuf[gi])
-					}
-				}
-				k := string(keyBuf)
-				groups[k] = g
-				order = append(order, k)
-			}
-			byBuf = byBuf[:0]
-			if batched {
-				for _, get := range byGet {
-					byBuf = value.AppendKey(byBuf, get(r))
-				}
-			} else {
-				for _, bi := range byIdx {
-					byBuf = value.AppendKey(byBuf, rowBuf[bi])
-				}
-			}
-			ci, ok := colOf[string(byBuf)]
-			if !ok {
-				// A combination outside the feedback snapshot (possible only if
-				// F changed between planning and execution).
-				return nil, nil, fmt.Errorf("core: row %d has a BY combination absent from the planned column layout", r)
-			}
-			var mv value.Value
-			switch {
-			case call.Star:
-				mv = value.NewInt(1)
-			case measure != nil:
-				var err error
-				mv, err = measure.Eval(rv)
-				if err != nil {
-					return nil, nil, err
-				}
-			}
-			if fn == expr.AggCount && !call.Star {
-				if !mv.IsNull() {
-					g.cells[ci].add(value.NewInt(1))
-				}
-			} else {
-				g.cells[ci].add(mv)
-			}
-			if pct {
-				g.total.add(mv)
-			}
-		}
-		return groups, order, nil
+	for _, b := range call.By {
+		spec.By = append(spec.By, schema.ColumnIndex(b))
 	}
-
-	nRows := src.NumRows()
-	workers := pivotWorkers(parallelism, nRows)
-	groups := make(map[string]*group)
-	var order []string
-	if workers <= 1 {
-		sp := span.NewChild("pivot fold")
-		groups, order, err = scanPart(ctx, 0, nRows)
-		sp.End()
-		if err != nil {
-			sp.Attr("error", err.Error())
+	for i, c := range combos {
+		spec.Columns[value.EncodeKeyString(c.vals...)] = i
+	}
+	if call.Arg != nil {
+		if spec.Measure, err = expr.Bind(call.Arg, resolver); err != nil {
 			return err
 		}
-		sp.SetRows(int64(nRows), int64(len(order)))
-	} else {
-		type part struct {
-			groups map[string]*group
-			order  []string
-			err    error
+	}
+	if where != nil {
+		if spec.Where, err = expr.Bind(where, resolver); err != nil {
+			return err
 		}
-		parts := make([]part, workers)
-		chunk := (nRows + workers - 1) / workers
-		fan := span.NewChild("partition fan-out")
-		if fan != nil {
-			fan.Concurrent = true
-			fan.AttrInt("workers", int64(workers))
-		}
-		// Workers run under a shared cancel context: the first failure —
-		// error, contained panic, or limit hit — stops the siblings within
-		// one stride instead of letting them fold to completion.
-		wctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if lo > nRows {
-				lo = nRows
-			}
-			if hi > nRows {
-				hi = nRows
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				var ws *obs.Span
-				if fan != nil {
-					ws = fan.NewChild(fmt.Sprintf("worker %d/%d", w+1, workers))
-				}
-				defer func() {
-					if r := recover(); r != nil {
-						parts[w].err = engine.NewPanicError(fmt.Sprintf("pivot worker %d/%d", w+1, workers), r)
-					}
-					if parts[w].err != nil {
-						ws.Attr("error", parts[w].err.Error())
-						cancel()
-					}
-					ws.End()
-					ws.SetRows(int64(hi-lo), int64(len(parts[w].order)))
-				}()
-				parts[w].groups, parts[w].order, parts[w].err = scanPart(wctx, lo, hi)
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		fan.End()
-		// Error selection is deterministic despite the cancel race: the
-		// lowest-numbered partition's real error wins; a sibling's
-		// cancellation is reported only when no real error exists.
-		var firstCancel, realErr error
-		for pi := range parts {
-			err := parts[pi].err
-			if err == nil {
-				continue
-			}
-			if isCancelled(err) {
-				if firstCancel == nil {
-					firstCancel = err
-				}
-				continue
-			}
-			realErr = err
-			break
-		}
-		if realErr == nil {
-			realErr = firstCancel
-		}
-		// Merge in ascending partition order: group order reproduces the
-		// sequential first-appearance order.
-		ms := span.NewChild("merge")
-		if realErr != nil {
-			ms.Attr("error", realErr.Error())
-			ms.End()
-			return realErr
-		}
-		partials := 0
-		for pi := range parts {
-			p := &parts[pi]
-			partials += len(p.order)
-			for _, k := range p.order {
-				g := p.groups[k]
-				tgt, ok := groups[k]
-				if !ok {
-					groups[k] = g
-					order = append(order, k)
-					continue
-				}
-				for i := range tgt.cells {
-					tgt.cells[i].merge(&g.cells[i])
-				}
-				tgt.total.merge(&g.total)
-			}
-		}
-		ms.End()
-		ms.SetRows(int64(partials), int64(len(order)))
+	}
+	groups, err := eng.Pivot(ctx, spec, parallelism, span)
+	if err != nil {
+		return err
 	}
 
 	es := span.NewChild("emit " + fh)
-	out := make([]value.Value, 0, len(groupCols)+len(combos))
-	for ki, k := range order {
-		if ki > 0 && ki%pivotStride == 0 {
+	ng := len(groupCols)
+	out := make([]value.Value, 0, ng+len(combos))
+	for gi, g := range groups {
+		if gi > 0 && gi%nativeStride == 0 {
 			if err := engine.CheckCtx(ctx); err != nil {
 				es.Attr("error", err.Error())
 				es.End()
 				return err
 			}
 		}
-		g := groups[k]
-		out = out[:0]
-		out = append(out, g.keyVals...)
-		total := g.total.result()
-		for i := range g.cells {
-			cell := &g.cells[i]
-			var v value.Value
-			if pct {
-				switch {
-				case total.IsNull():
-					v = value.Null
-				default:
-					tf, _ := total.AsFloat()
-					if tf == 0 { // floateq:ok SQL division-by-zero guard: exact zero yields NULL
-						v = value.Null
-					} else {
-						// sum(CASE … ELSE 0) semantics: absent combinations
-						// contribute an explicit zero.
-						cf := 0.0
-						if cell.seen {
-							r := cell.result()
-							cf, _ = r.AsFloat()
-						}
-						v = value.NewFloat(cf / tf)
-					}
-				}
-			} else {
-				v = cell.result()
-				if v.IsNull() && deflt != nil {
-					v = *deflt
+		out = append(out[:0], g[:ng]...)
+		cells := g[ng : ng+len(combos)]
+		if pct {
+			// sum(CASE … ELSE 0) semantics: a combination without rows, or
+			// with only NULL measures, contributes an explicit zero.
+			tf, ok := g[len(g)-1].AsFloat()
+			for _, c := range cells {
+				cf, _ := c.AsFloat()
+				if !ok || tf == 0 { // floateq:ok SQL division-by-zero guard: exact zero yields NULL
+					out = append(out, value.Null)
+				} else {
+					out = append(out, value.NewFloat(cf/tf))
 				}
 			}
-			out = append(out, v)
+		} else {
+			for _, c := range cells {
+				if c.IsNull() && deflt != nil {
+					c = *deflt
+				}
+				out = append(out, c)
+			}
 		}
 		if _, err := dst.AppendRow(out); err != nil {
 			es.Attr("error", err.Error())
@@ -699,13 +199,6 @@ func runPivot(ctx context.Context, eng *engine.Engine, table, fh string, groupCo
 		}
 	}
 	es.End()
-	es.SetRows(int64(len(order)), int64(len(order)))
+	es.SetRows(int64(len(groups)), int64(len(groups)))
 	return nil
-}
-
-// isCancelled reports whether err is the engine's typed cancellation error —
-// the shape sibling workers fail with after a fan-out cancel.
-func isCancelled(err error) bool {
-	var c *engine.CancelledError
-	return errors.As(err, &c)
 }

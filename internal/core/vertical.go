@@ -136,9 +136,9 @@ func (p *Planner) planVertical(a *analysis, opts VpctOptions) (*Plan, error) {
 	// rebuilds instead).
 	var fkMeta *deltaMeta
 	if shareable {
-		merges := make([]mergeOp, 0, len(measureOrder)+len(extraAggs))
+		merges := make([]expr.AggFn, 0, len(measureOrder)+len(extraAggs))
 		for range measureOrder {
-			merges = append(merges, mergeAdd)
+			merges = append(merges, expr.AggSum)
 		}
 		deltable := true
 		for _, idx := range extraAggs {
@@ -269,7 +269,7 @@ func (p *Planner) planVertical(a *analysis, opts VpctOptions) (*Plan, error) {
 				selects: strings.Join(fjDeltaSel, ", "),
 				colDefs: strings.Join(fjCols, ", "),
 				nGroup:  len(t.totalsCols),
-				merges:  []mergeOp{mergeAdd},
+				merges:  []expr.AggFn{expr.AggSum},
 			}
 		}
 		fjMode := cacheOff

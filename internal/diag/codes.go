@@ -211,10 +211,10 @@ var Registry = []CodeInfo{
 	{CodeGroupingMisuse, Error, "GROUPING() misuse", "GROUPING() is only defined for ROLLUP/CUBE/GROUPING SETS queries and must name lattice dimensions", false},
 	{CodeCancelled, Error, "statement cancelled", "the caller cancelled the statement's context; partial work is discarded", true},
 	{CodeDeadline, Error, "statement deadline exceeded", "the per-statement deadline (Limits.Timeout) elapsed mid-execution", true},
-	{CodeRowLimit, Error, "materialized-row limit exceeded", "Limits.MaxRows bounds rows a statement may materialize, instead of exhausting memory", true},
+	{CodeRowLimit, Error, "materialized-row limit exceeded", "Limits.MaxRows bounds rows a statement may materialize or fold, instead of exhausting memory", true},
 	{CodeGroupLimit, Error, "group limit exceeded", "Limits.MaxGroups bounds distinct GROUP BY / pivot groups, the other unbounded hash state", true},
 	{CodePivotLimit, Error, "pivot column limit exceeded", "Limits.MaxPivotColumns is a hard cap on horizontal result width — the paper's DBMS column-limit failure mode as a governed error", true},
-	{CodeByteBudget, Error, "byte budget exceeded", "Limits.MaxBytes bounds approximate materialized bytes; parallel aggregation degrades to sequential under pressure before failing", true},
+	{CodeByteBudget, Error, "byte budget exceeded", "Limits.MaxBytes bounds approximate materialized bytes; aggregations charge each folded input row once, at any parallelism", true},
 	{CodePanic, Error, "panic recovered in statement execution", "a worker or dispatch panic is contained into an error carrying the stack, keeping the engine usable", true},
 	{CodeQueueFull, Error, "admission queue full", "the tenant's bounded admission queue is at MaxQueue; retry after the backoff hint instead of piling on", true},
 	{CodeTenantCap, Error, "tenant cap reached", "the tenant is at its session or concurrent-statement cap; the connect or statement is refused, not queued", true},

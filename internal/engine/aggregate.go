@@ -4,14 +4,15 @@ import (
 	"fmt"
 
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/value"
 )
 
 // accumulator folds one aggregate function over the rows of a group.
 // merge folds another accumulator of the same concrete type — built over a
 // disjoint row partition — into the receiver, so that add(r1…rn) ≡
-// add(r1…rk).merge(add(rk+1…rn)) for every split point k. The parallel
-// aggregation path relies on this to combine per-worker partial states.
+// add(r1…rk).merge(add(rk+1…rn)) for every split point k. The fold driver
+// (fold.go) relies on this to combine per-worker partial states.
 type accumulator interface {
 	add(v value.Value) error
 	merge(o accumulator) error
@@ -266,123 +267,152 @@ func (a *minMaxAcc) result() value.Value {
 	return a.best
 }
 
+// MergeCell combines two partial results of the distributive aggregate fn
+// (sum, min or max), computed over disjoint row partitions, by folding both
+// through fn's accumulator: NULL is the identity, integer sums stay
+// integers and mixed numerics demote to float, exactly as one fold over
+// the union of the partitions. The summary cache merges deltas with it.
+func MergeCell(fn expr.AggFn, a, b value.Value) (value.Value, error) {
+	acc, err := newAccumulator(&expr.AggCall{Fn: fn})
+	if err != nil {
+		return value.Null, err
+	}
+	if err := acc.add(a); err != nil {
+		return value.Null, err
+	}
+	if err := acc.add(b); err != nil {
+		return value.Null, err
+	}
+	return acc.result(), nil
+}
+
 // aggSpec pairs an aggregate call with its bound argument expression.
 type aggSpec struct {
 	call *expr.AggCall
 	arg  expr.Expr // bound; nil for count(*)
 }
 
-// groupState accumulates one group.
-type groupState struct {
-	keyVals []value.Value
-	accs    []accumulator
+// newAccs builds one group's accumulators, one per spec.
+func newAccs(specs []aggSpec) ([]accumulator, error) {
+	accs := make([]accumulator, len(specs))
+	for i, s := range specs {
+		acc, err := newAccumulator(s.call)
+		if err != nil {
+			return nil, err
+		}
+		accs[i] = acc
+	}
+	return accs, nil
 }
 
-// hashAggregateSeq is the sequential aggregation fold: it consumes the input
-// and produces one output row per group — the group-key values followed by
-// one aggregate result per spec. keyExprs are bound against the input
-// schema. With no keys, a single global group is produced even for empty
-// input (SQL semantics for aggregates without GROUP BY). Output rows follow
-// the first-appearance order of their groups in the input; the parallel path
-// (parallel.go) reproduces exactly this order.
-// gov, when non-nil, charges group creation against MaxGroups and checks
-// cancellation every govStride input rows (base-table inputs also check in
-// the scan; this covers materialized inputs).
-func hashAggregateSeq(in iterator, keyExprs []expr.Expr, specs []aggSpec, gov *governor) ([][]value.Value, error) {
-	groups := make(map[string]*groupState)
-	var order []string // first-appearance order, deterministic output
-	keyBuf := make([]byte, 0, 64)
-	keyVals := make([]value.Value, len(keyExprs))
-
-	newGroup := func() (*groupState, error) {
-		gs := &groupState{
-			keyVals: append([]value.Value(nil), keyVals...),
-			accs:    make([]accumulator, len(specs)),
+// hashAggregate folds the input into one output row per group — the
+// group-key values followed by one aggregate result per spec — in the
+// first-appearance order of the groups. keyExprs are bound against the
+// input schema. With no keys, a single global group is produced even for
+// empty input (SQL semantics for aggregates without GROUP BY). The
+// vectorized batch kernel runs when the pipeline shape allows it (batch.go);
+// the scalar expression kernel otherwise. Both run on the partitioned fold
+// driver (fold.go), under ec's parallelism, span and governor.
+func hashAggregate(in iterator, keyExprs []expr.Expr, specs []aggSpec, ec execCtx) ([][]value.Value, error) {
+	if ec.batch {
+		// Unsupported shapes and injected core.batch faults report
+		// handled=false and fall through to the scalar kernel.
+		if out, handled, err := batchAggregate(in, keyExprs, specs, ec); handled {
+			mGroupsEmitted.Add(int64(len(out)))
+			return out, err
 		}
-		for i, s := range specs {
-			acc, err := newAccumulator(s.call)
-			if err != nil {
-				return nil, err
-			}
-			gs.accs[i] = acc
-		}
-		return gs, nil
 	}
+	k := &scalarKernel{in: in, keyExprs: keyExprs, specs: specs}
+	f := &fold[string]{
+		ec:      ec,
+		rows:    -1,
+		kernel:  k.fold,
+		newAccs: func() ([]accumulator, error) { return newAccs(specs) },
+		global:  len(keyExprs) == 0,
+	}
+	if ec.par == 1 {
+		f.ops = func() *obs.Span { return operatorSpans(in) }
+	} else {
+		// Iterators reuse row buffers and are not safe to share across
+		// goroutines, so the fold partitions a materialized copy. The copy
+		// charges each row as it is built, so it stops at the budget, and
+		// that charge is the fold's. The drain is where the operator
+		// subtree's time is spent, so it attaches directly under the
+		// aggregate span.
+		input, err := materialize(in, ec.gov)
+		if err != nil {
+			return nil, err
+		}
+		if ec.span != nil {
+			ec.span.AddChild(operatorSpans(in))
+		}
+		k.rows = input.rows
+		f.rows = len(input.rows)
+		f.prepaid = true
+	}
+	out, err := f.run()
+	mGroupsEmitted.Add(int64(len(out)))
+	return out, err
+}
 
+// scalarKernel is the row-at-a-time expression fold: it evaluates the
+// bound group keys and aggregate arguments per row. At parallelism 1 it
+// streams the input pipeline; otherwise each partition reads its slice of
+// the materialized copy. Bound expression trees are immutable and
+// stateless under Eval, so workers share them safely.
+type scalarKernel struct {
+	in       iterator
+	rows     [][]value.Value // the materialized copy; nil when streaming
+	keyExprs []expr.Expr
+	specs    []aggSpec
+}
+
+func (k *scalarKernel) fold(p *foldPart[string], lo, hi int) error {
+	in := k.in
+	if k.rows != nil {
+		in = &memRelation{rows: k.rows[lo:hi]}
+	}
+	keyVals := make([]value.Value, len(k.keyExprs))
 	var box rowBox
-	var seen int
+	// pctvet:ok p.charge polls the governor (addRows, or check for a prepaid copy) every govStride rows; the analyzer does not resolve generic methods
 	for {
 		row, ok, err := in.next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		seen++
-		if gov != nil && seen%govStride == 0 {
-			if err := gov.check(); err != nil {
-				return nil, err
-			}
+		if err != nil || !ok {
+			return err
 		}
 		box.vals = row
-		rv := &box
-		keyBuf = keyBuf[:0]
-		for i, ke := range keyExprs {
-			v, err := ke.Eval(rv)
+		p.key = p.key[:0]
+		for i, ke := range k.keyExprs {
+			v, err := ke.Eval(&box)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			keyVals[i] = v
-			keyBuf = value.AppendKey(keyBuf, v)
+			p.key = value.AppendKey(p.key, v)
 		}
-		gs, ok := groups[string(keyBuf)]
+		g, ok := p.groups[string(p.key)]
 		if !ok {
-			if gov != nil {
-				if err := gov.addGroups(1); err != nil {
-					return nil, err
-				}
+			if g, err = p.newGroup(string(p.key), append([]value.Value(nil), keyVals...)); err != nil {
+				return err
 			}
-			gs, err = newGroup()
-			if err != nil {
-				return nil, err
-			}
-			k := string(keyBuf)
-			groups[k] = gs
-			order = append(order, k)
 		}
-		for i, s := range specs {
+		for i, s := range k.specs {
 			var v value.Value
 			if s.arg != nil {
-				v, err = s.arg.Eval(rv)
-				if err != nil {
-					return nil, err
+				if v, err = s.arg.Eval(&box); err != nil {
+					return err
 				}
 			}
-			if err := gs.accs[i].add(v); err != nil {
-				return nil, err
+			if err := g.accs[i].add(v); err != nil {
+				return err
 			}
 		}
-	}
-
-	if len(keyExprs) == 0 && len(groups) == 0 {
-		gs, err := newGroup()
-		if err != nil {
-			return nil, err
+		var n int64
+		if p.sized {
+			n = estimateRowBytes(row)
 		}
-		groups[""] = gs
-		order = append(order, "")
-	}
-
-	out := make([][]value.Value, 0, len(groups))
-	for _, k := range order {
-		gs := groups[k]
-		row := make([]value.Value, 0, len(gs.keyVals)+len(specs))
-		row = append(row, gs.keyVals...)
-		for _, acc := range gs.accs {
-			row = append(row, acc.result())
+		if err := p.charge(n); err != nil {
+			return err
 		}
-		out = append(out, row)
 	}
-	return out, nil
 }

@@ -1,10 +1,7 @@
 package engine
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/batch"
@@ -38,14 +35,12 @@ import (
 //     accumulators are the scalar path's own (aggregate.go), fed from
 //     typed column getters — results are byte-identical by construction.
 //
-// Everything else mirrors the scalar path contract for contract: the
-// governor is charged per batch (same stride), group creation is charged
-// via addGroups, parallel execution partitions the table into contiguous
-// row ranges folded by workers under the same span names, chaos points,
-// cancel-context plumbing, panic containment, and deterministic merge
-// order as hashAggregateParallel. Shapes the kernels do not cover (joins,
-// computed keys or arguments, sum/avg over non-numeric columns) and
-// injected core.batch faults fall back to the scalar path silently.
+// The kernel runs on the partitioned fold driver (fold.go), so worker
+// count, fan-out, merge order, spans and governor charges are the scalar
+// kernel's by construction; the kernel itself charges addScanned once per
+// batch. Shapes the kernel does not cover (joins, computed keys or
+// arguments, sum/avg over non-numeric columns) and injected core.batch
+// faults fall back to the scalar kernel silently.
 
 // Batch-execution metrics: folds that ran vectorized, rows they consumed,
 // and aggregates that fell back to the scalar path (unsupported shape or
@@ -76,23 +71,10 @@ type batchExec struct {
 	intKeys bool
 	keyInts [][]int64
 	keyNull []func(int) bool
-}
-
-// bGroup is one group's partial state (the batch twin of partGroup).
-type bGroup struct {
-	keyVals []value.Value
-	accs    []accumulator
-}
-
-// bPart is one worker's fold output, generic over the group-key type.
-type bPart[K comparable] struct {
-	groups map[K]*bGroup
-	order  []K // local first-appearance order
-	err    error
-	// passed counts rows surviving each predicate (for operator stats);
-	// folded is the number of rows that reached the accumulators.
-	passed []int64
-	folded int64
+	// passed counts rows surviving each predicate and ns the kernel wall,
+	// summed over partitions, for the operator stats.
+	passed []atomic.Int64
+	ns     atomic.Int64
 }
 
 // intKey is the fixed-width group key for ≤ 4 INTEGER key columns. Two
@@ -120,9 +102,9 @@ func batchAggregate(in iterator, keyExprs []expr.Expr, specs []aggSpec, ec execC
 		return nil, false, nil
 	}
 	if bx.intKeys {
-		out, err = batchRun(bx, bx.runInt, keyExprs, specs, ec)
+		out, err = runBatch(bx, bx.intGroup, ec)
 	} else {
-		out, err = batchRun(bx, bx.runStr, keyExprs, specs, ec)
+		out, err = runBatch(bx, bx.strGroup, ec)
 	}
 	if err == nil {
 		n := int64(bx.tab.NumRows())
@@ -157,6 +139,7 @@ unwrap:
 			return nil, false
 		}
 	}
+	bx.passed = make([]atomic.Int64, len(bx.preds))
 	// Collected outermost-first; reverse to application (innermost-first)
 	// order so interleaved filtering reproduces the scalar error order.
 	for i, j := 0, len(bx.preds)-1; i < j; i, j = i+1, j-1 {
@@ -352,83 +335,118 @@ func (bx *batchExec) selectBatch(base, bn int, sel []int32, passed []int64) []in
 	return sel
 }
 
-// newGroup allocates one group's key values and accumulators for row r.
-func (bx *batchExec) newGroup(r int) (*bGroup, error) {
-	g := &bGroup{accs: make([]accumulator, len(bx.specs))}
-	for i, s := range bx.specs {
-		acc, err := newAccumulator(s.call)
-		if err != nil {
-			return nil, err
-		}
-		g.accs[i] = acc
+// keyVals boxes row r's group-key values.
+func (bx *batchExec) keyVals(r int) []value.Value {
+	if len(bx.keyGet) == 0 {
+		return nil
 	}
-	if len(bx.keyGet) > 0 {
-		g.keyVals = make([]value.Value, len(bx.keyGet))
-		for i, get := range bx.keyGet {
-			g.keyVals[i] = get(r)
-		}
+	vals := make([]value.Value, len(bx.keyGet))
+	for i, get := range bx.keyGet {
+		vals[i] = get(r)
 	}
-	return g, nil
+	return vals
 }
 
-// foldInto feeds row r into a group's accumulators.
-func (bx *batchExec) foldInto(g *bGroup, r int) error {
-	for i := range bx.specs {
-		var v value.Value
-		if get := bx.argGet[i]; get != nil {
-			v = get(r)
-		}
-		if err := g.accs[i].add(v); err != nil {
-			return err
-		}
+// strGroup finds row r's group under the AppendKey encoding — the general
+// key, grouping-compatible with the scalar kernel by sharing its encoding.
+func (bx *batchExec) strGroup(p *foldPart[string], r int) (*group, error) {
+	p.key = p.key[:0]
+	for _, get := range bx.keyGet {
+		p.key = value.AppendKey(p.key, get(r))
 	}
-	return nil
+	if g, ok := p.groups[string(p.key)]; ok {
+		return g, nil
+	}
+	return p.newGroup(string(p.key), bx.keyVals(r))
 }
 
-// runStr folds rows [lo, hi) with AppendKey-encoded string group keys —
-// the general path, grouping-compatible with the scalar fold by sharing
-// its key encoding.
-func (bx *batchExec) runStr(lo, hi int, gov *governor) bPart[string] {
-	part := bPart[string]{groups: make(map[string]*bGroup), passed: make([]int64, len(bx.preds))}
+// intGroup finds row r's group under the fixed-width integer key — no key
+// encoding or string allocation on the hot path.
+func (bx *batchExec) intGroup(p *foldPart[intKey], r int) (*group, error) {
+	var k intKey
+	for i, ints := range bx.keyInts {
+		if bx.keyNull[i](r) {
+			k.mask |= 1 << i
+		} else {
+			k.v[i] = ints[r]
+		}
+	}
+	if g, ok := p.groups[k]; ok {
+		return g, nil
+	}
+	return p.newGroup(k, bx.keyVals(r))
+}
+
+// runBatch runs the batch kernel on the fold driver, with find as the
+// group lookup for the key type K.
+func runBatch[K comparable](bx *batchExec, find func(*foldPart[K], int) (*group, error), ec execCtx) ([][]value.Value, error) {
+	f := &fold[K]{
+		ec:         ec,
+		rows:       bx.tab.NumRows(),
+		kernel:     func(p *foldPart[K], lo, hi int) error { return batchFold(bx, p, lo, hi, find) },
+		newAccs:    func() ([]accumulator, error) { return newAccs(bx.specs) },
+		global:     len(bx.keyGet) == 0,
+		stored:     storedRowBytes(bx.tab),
+		kernelName: "batch",
+	}
+	// The workers read disjoint row ranges of the immutable column vectors;
+	// there is no materialized copy, so the operator subtree's time is spent
+	// inside the kernel.
+	f.ops = func() *obs.Span {
+		bx.fillStats(f.workers)
+		return operatorSpans(bx.in)
+	}
+	out, err := f.run()
+	if err == nil {
+		bx.fillStats(f.workers)
+	}
+	return out, err
+}
+
+// batchFold folds table rows [lo, hi) into p, batch.Size rows at a time;
+// find maps a row to its group, creating it on first sight.
+func batchFold[K comparable](bx *batchExec, p *foldPart[K], lo, hi int, find func(*foldPart[K], int) (*group, error)) error {
+	t0 := time.Now()
+	passed := make([]int64, len(bx.preds))
+	defer func() {
+		for i, n := range passed {
+			bx.passed[i].Add(n)
+		}
+		bx.ns.Add(time.Since(t0).Nanoseconds())
+	}()
 	pool := batch.Default
 	sel := pool.GetSel(batch.Size)
 	defer func() { pool.PutSel(sel) }()
-	keyBuf := pool.GetBytes(64)
-	defer func() { pool.PutBytes(keyBuf) }()
+	if !bx.intKeys {
+		p.key = pool.GetBytes(64)
+		defer func() { pool.PutBytes(p.key) }()
+	}
 
 	foldRow := func(r int) error {
-		keyBuf = keyBuf[:0]
-		for _, get := range bx.keyGet {
-			keyBuf = value.AppendKey(keyBuf, get(r))
+		g, err := find(p, r)
+		if err != nil {
+			return err
 		}
-		g, ok := part.groups[string(keyBuf)]
-		if !ok {
-			if err := gov.addGroups(1); err != nil {
+		for i := range bx.specs {
+			var v value.Value
+			if get := bx.argGet[i]; get != nil {
+				v = get(r)
+			}
+			if err := g.accs[i].add(v); err != nil {
 				return err
 			}
-			var err error
-			if g, err = bx.newGroup(r); err != nil {
-				return err
-			}
-			k := string(keyBuf)
-			part.groups[k] = g
-			part.order = append(part.order, k)
 		}
-		part.folded++
-		return bx.foldInto(g, r)
+		return p.chargeStored(r)
 	}
 
 	lr := lazyRow{tab: bx.tab}
 	for base := lo; base < hi; base += batch.Size {
-		bn := hi - base
-		if bn > batch.Size {
-			bn = batch.Size
-		}
+		bn := min(hi-base, batch.Size)
 		if bx.vector {
-			sel = bx.selectBatch(base, bn, sel, part.passed)
+			sel = bx.selectBatch(base, bn, sel, passed)
 			for _, r := range sel {
-				if part.err = foldRow(int(r)); part.err != nil {
-					return part
+				if err := foldRow(int(r)); err != nil {
+					return err
 				}
 			}
 		} else {
@@ -437,328 +455,51 @@ func (bx *batchExec) runStr(lo, hi int, gov *governor) bPart[string] {
 			for r := base; r < base+bn; r++ {
 				lr.r = r
 				pass := true
-				for pi, p := range bx.preds {
-					v, err := p.Eval(&lr)
+				for pi, pred := range bx.preds {
+					v, err := pred.Eval(&lr)
 					if err != nil {
-						part.err = err
-						return part
+						return err
 					}
 					if !v.Truthy() {
 						pass = false
 						break
 					}
-					part.passed[pi]++
+					passed[pi]++
 				}
 				if !pass {
 					continue
 				}
-				if part.err = foldRow(r); part.err != nil {
-					return part
+				if err := foldRow(r); err != nil {
+					return err
 				}
 			}
 		}
-		// One governor charge per batch: same stride, totals, and typed
-		// errors as the scalar scan.
-		if part.err = gov.addScanned(int64(bn)); part.err != nil {
-			return part
+		// One scan charge per batch: same stride and totals as the scalar
+		// scan.
+		if err := p.gov.addScanned(int64(bn)); err != nil {
+			return err
 		}
 	}
-	return part
-}
-
-// runInt folds rows [lo, hi) with the fixed-width integer group key — no
-// key encoding or string allocation on the hot path.
-func (bx *batchExec) runInt(lo, hi int, gov *governor) bPart[intKey] {
-	part := bPart[intKey]{groups: make(map[intKey]*bGroup), passed: make([]int64, len(bx.preds))}
-	pool := batch.Default
-	sel := pool.GetSel(batch.Size)
-	defer func() { pool.PutSel(sel) }()
-
-	foldRow := func(r int) error {
-		var k intKey
-		for i, ints := range bx.keyInts {
-			if bx.keyNull[i](r) {
-				k.mask |= 1 << i
-			} else {
-				k.v[i] = ints[r]
-			}
-		}
-		g, ok := part.groups[k]
-		if !ok {
-			if err := gov.addGroups(1); err != nil {
-				return err
-			}
-			var err error
-			if g, err = bx.newGroup(r); err != nil {
-				return err
-			}
-			part.groups[k] = g
-			part.order = append(part.order, k)
-		}
-		part.folded++
-		return bx.foldInto(g, r)
-	}
-
-	lr := lazyRow{tab: bx.tab}
-	for base := lo; base < hi; base += batch.Size {
-		bn := hi - base
-		if bn > batch.Size {
-			bn = batch.Size
-		}
-		if bx.vector {
-			sel = bx.selectBatch(base, bn, sel, part.passed)
-			for _, r := range sel {
-				if part.err = foldRow(int(r)); part.err != nil {
-					return part
-				}
-			}
-		} else {
-			for r := base; r < base+bn; r++ {
-				lr.r = r
-				pass := true
-				for pi, p := range bx.preds {
-					v, err := p.Eval(&lr)
-					if err != nil {
-						part.err = err
-						return part
-					}
-					if !v.Truthy() {
-						pass = false
-						break
-					}
-					part.passed[pi]++
-				}
-				if !pass {
-					continue
-				}
-				if part.err = foldRow(r); part.err != nil {
-					return part
-				}
-			}
-		}
-		if part.err = gov.addScanned(int64(bn)); part.err != nil {
-			return part
-		}
-	}
-	return part
-}
-
-// batchRun orchestrates one fold: sequential or partitioned-parallel, with
-// the same spans, chaos points, governor plumbing, panic containment, and
-// deterministic merge order as the scalar paths in parallel.go.
-func batchRun[K comparable](bx *batchExec, run func(lo, hi int, gov *governor) bPart[K], keyExprs []expr.Expr, specs []aggSpec, ec execCtx) ([][]value.Value, error) {
-	nRows := bx.tab.NumRows()
-	workers := resolveWorkers(ec.par)
-	if ec.par <= 0 && nRows < autoParallelMinRows {
-		workers = 1
-	}
-	if workers > nRows {
-		workers = nRows
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	if workers <= 1 {
-		sp := ec.span.NewChild("fold")
-		sp.Attr("kernel", "batch")
-		t0 := time.Now()
-		part := run(0, nRows, ec.gov)
-		kernelNs := time.Since(t0).Nanoseconds()
-		sp.End()
-		if part.err == nil {
-			bx.fillStats(int64(nRows), part.passed, kernelNs)
-		}
-		if sp != nil {
-			sp.AddChild(operatorSpans(bx.in))
-		}
-		if part.err != nil {
-			sp.SetRows(-1, 0)
-			return nil, part.err
-		}
-		out, err := emitParts(bx, []bPart[K]{part}, keyExprs, specs)
-		sp.SetRows(-1, int64(len(out)))
-		return out, err
-	}
-
-	mAggParallel.Inc()
-	if ec.rec != nil {
-		ec.rec.parallel = true
-	}
-	// Unlike the scalar parallel path there is no materialized copy — the
-	// workers read disjoint row ranges of the immutable column vectors —
-	// so the operator subtree's time is spent inside the workers and the
-	// standalone operator spans carry rows only.
-	if ec.span != nil {
-		ec.span.AddChild(operatorSpans(bx.in))
-	}
-	fan := ec.span.NewChild("partition fan-out")
-	if fan != nil {
-		fan.Concurrent = true
-		fan.AttrInt("workers", int64(workers))
-		fan.Attr("kernel", "batch")
-	}
-	cancel := func() {}
-	wgov := ec.gov
-	if ec.gov != nil && ec.gov.ctx != nil {
-		var wctx context.Context
-		wctx, cancel = context.WithCancel(ec.gov.ctx)
-		defer cancel()
-		wgov = ec.gov.withCtx(wctx)
-	}
-	parts := make([]bPart[K], workers)
-	chunk := (nRows + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if lo > nRows {
-			lo = nRows
-		}
-		if hi > nRows {
-			hi = nRows
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var ws *obs.Span
-			if fan != nil {
-				ws = fan.NewChild(fmt.Sprintf("worker %d/%d", w+1, workers))
-			}
-			defer func() {
-				if r := recover(); r != nil {
-					parts[w].err = NewPanicError(fmt.Sprintf("batch worker %d/%d", w+1, workers), r)
-				}
-				if parts[w].err != nil {
-					ws.Attr("error", parts[w].err.Error())
-					cancel()
-				}
-				ws.End()
-				ws.SetRows(int64(hi-lo), int64(len(parts[w].order)))
-			}()
-			if err := chaos.HitN(chaos.AggWorker, w+1); err != nil {
-				parts[w].err = err
-				return
-			}
-			parts[w] = run(lo, hi, wgov)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	fan.End()
-
-	ms := ec.span.NewChild("merge")
-	defer ms.End()
-	if err := batchWorkerError(parts); err != nil {
-		return nil, err
-	}
-	if err := chaos.Hit(chaos.AggMerge); err != nil {
-		return nil, err
-	}
-	passed := make([]int64, len(bx.preds))
-	for pi := range parts {
-		for i, n := range parts[pi].passed {
-			passed[i] += n
-		}
-	}
-	bx.fillStats(int64(nRows), passed, 0)
-	out, err := emitParts(bx, parts, keyExprs, specs)
-	if err != nil {
-		return nil, err
-	}
-	ms.SetRows(int64(nRows), int64(len(out)))
-	return out, nil
-}
-
-// emitParts merges partition partials in ascending partition order (which
-// reproduces the sequential first-appearance order — see parallel.go) and
-// renders the output rows.
-func emitParts[K comparable](bx *batchExec, parts []bPart[K], keyExprs []expr.Expr, specs []aggSpec) ([][]value.Value, error) {
-	var merged map[K]*bGroup
-	var order []K
-	if len(parts) == 1 {
-		merged, order = parts[0].groups, parts[0].order
-	} else {
-		merged = make(map[K]*bGroup)
-		for pi := range parts {
-			p := &parts[pi]
-			for _, k := range p.order {
-				g := p.groups[k]
-				tgt, ok := merged[k]
-				if !ok {
-					merged[k] = g
-					order = append(order, k)
-					continue
-				}
-				for i := range tgt.accs {
-					if err := tgt.accs[i].merge(g.accs[i]); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-	}
-	if len(keyExprs) == 0 && len(order) == 0 {
-		// A global aggregate over zero input rows still yields one row,
-		// exactly as the scalar fold's empty-input group.
-		g := &bGroup{accs: make([]accumulator, len(specs))}
-		for i, s := range specs {
-			acc, err := newAccumulator(s.call)
-			if err != nil {
-				return nil, err
-			}
-			g.accs[i] = acc
-		}
-		var zero K
-		merged[zero] = g
-		order = append(order, zero)
-	}
-	out := make([][]value.Value, 0, len(order))
-	for _, k := range order {
-		g := merged[k]
-		row := make([]value.Value, 0, len(g.keyVals)+len(g.accs))
-		row = append(row, g.keyVals...)
-		for _, acc := range g.accs {
-			row = append(row, acc.result())
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// batchWorkerError mirrors workerError for the generic partials: the
-// lowest-numbered partition's real error wins; sibling cancellations are
-// reported only when nothing else failed.
-func batchWorkerError[K comparable](parts []bPart[K]) error {
-	var firstCancel error
-	for pi := range parts {
-		err := parts[pi].err
-		if err == nil {
-			continue
-		}
-		var c *CancelledError
-		if errors.As(err, &c) {
-			if firstCancel == nil {
-				firstCancel = err
-			}
-			continue
-		}
-		return err
-	}
-	return firstCancel
+	return nil
 }
 
 // fillStats backfills the per-operator instrumentation (allocated by
-// instrumentIter when the statement is traced) that the kernels bypassed:
-// the scan's row count and each filter's survivor count. ns is the kernel
-// wall charged inclusively down the chain in sequential mode; the parallel
-// path passes 0 (its time lives in the worker spans).
-func (bx *batchExec) fillStats(nRows int64, passed []int64, ns int64) {
+// instrumentIter when the statement is traced) that the kernel bypassed:
+// the scan's row count and each filter's survivor count. A sequential
+// fold charges its kernel wall inclusively down the chain; a fan-out's time
+// lives in the worker spans, so it charges none.
+func (bx *batchExec) fillStats(workers int) {
+	var ns int64
+	if workers == 1 {
+		ns = bx.ns.Load()
+	}
 	if bx.scan.stats != nil {
-		bx.scan.stats.rows = nRows
+		bx.scan.stats.rows = int64(bx.tab.NumRows())
 		bx.scan.stats.ns = ns
 	}
 	for i, f := range bx.filters {
-		if f.stats != nil && i < len(passed) {
-			f.stats.rows = passed[i]
+		if f.stats != nil {
+			f.stats.rows = bx.passed[i].Load()
 			f.stats.ns = ns
 		}
 	}

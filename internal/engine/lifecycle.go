@@ -29,22 +29,25 @@ import (
 // Limits bounds the resources one statement may consume. The zero value
 // means unlimited. Limits are enforced with typed errors instead of
 // exhausting memory: MaxRows and MaxBytes bound materialized state (row
-// buffers, join build sides, staged DML), MaxGroups bounds aggregation hash
-// state, MaxPivotColumns bounds horizontal result width, and Timeout is a
-// per-statement deadline.
+// buffers, join build sides, staged DML) and the input rows aggregations
+// fold, MaxGroups bounds aggregation hash state, MaxPivotColumns bounds
+// horizontal result width, and Timeout is a per-statement deadline.
 type Limits struct {
 	// MaxRows caps rows materialized by one statement (result rows, join
-	// build sides, window inputs, staged DML rows), cumulatively.
+	// build sides, window inputs, staged DML rows) plus the input rows its
+	// aggregations fold (each once, at any parallelism), cumulatively.
 	MaxRows int64
-	// MaxGroups caps distinct aggregation groups (GROUP BY and pivot).
+	// MaxGroups caps distinct aggregation groups (GROUP BY and pivot),
+	// counted exactly at any parallelism. A fan-out of P workers charges
+	// the exact count at its merge; until then each worker may hold up to
+	// the remaining budget, so up to P × MaxGroups groups can be resident
+	// at once.
 	MaxGroups int64
 	// MaxPivotColumns caps horizontal (Hpct/Hagg) result columns; the core
 	// planner enforces it at plan time, before any evaluation runs.
 	MaxPivotColumns int
-	// MaxBytes caps the approximate bytes of materialized values. Parallel
-	// aggregation degrades to the sequential fold when its partial states
-	// would press the remaining budget (counted in engine.agg.budget_fallback)
-	// before the cap fails the statement.
+	// MaxBytes caps the approximate bytes of materialized values and of
+	// folded input rows.
 	MaxBytes int64
 	// Timeout, when positive, is applied as a per-statement deadline.
 	Timeout time.Duration
@@ -84,18 +87,17 @@ func (e *Engine) effectiveLimits(ctx context.Context) Limits {
 }
 
 // LimitsFromContext returns the Limits carried by ctx via WithLimits.
-// Exported for the core package's native plan steps, which enforce budgets
-// in their own loops outside the engine's governor.
+// Exported for the core package's native plan steps, which apply the
+// per-statement deadline themselves.
 func LimitsFromContext(ctx context.Context) (Limits, bool) {
 	l, ok := ctx.Value(limitsKey{}).(Limits)
 	return l, ok
 }
 
 // CheckCtx returns the typed CancelledError when ctx is already cancelled or
-// past its deadline, nil otherwise. Exported for the same reason as
-// LimitsFromContext: native plan steps stride-check their scans with it so a
-// cancelled plan carries the same PCT200/PCT201 codes as a cancelled
-// statement.
+// past its deadline, nil otherwise. Exported for the core package's native
+// plan steps, which stride-check their loops with it so a cancelled plan
+// carries the same PCT200/PCT201 codes as a cancelled statement.
 func CheckCtx(ctx context.Context) error {
 	if ctx == nil {
 		return nil
@@ -158,7 +160,7 @@ func (e *LimitError) Code() string { return e.PCTCode }
 // error so one poisoned statement cannot kill concurrent submitters.
 type PanicError struct {
 	// Point says where the panic was recovered ("statement", "partition
-	// worker 2/4", "pivot worker 1/8", "step ...").
+	// worker 2/4", "step ...").
 	Point string
 	// Value is the recovered panic value.
 	Value any
@@ -178,7 +180,7 @@ func (e *PanicError) Code() string { return diag.CodePanic }
 // capturing the current stack and counting it in engine.panics. Exported for
 // the core package's native plan steps, which recover on their own
 // goroutines. Construction is the single counting site, so every containment
-// path — dispatch, partition worker, pivot worker, native step — bumps the
+// path — dispatch, partition worker, native step — bumps the
 // metric exactly once.
 func NewPanicError(point string, v any) *PanicError {
 	mPanics.Inc()
@@ -280,21 +282,23 @@ func (g *governor) addGroups(n int64) error {
 	}
 	total := atomic.AddInt64(&g.c.groups, n)
 	if g.lim.MaxGroups > 0 && total > g.lim.MaxGroups {
-		return &LimitError{PCTCode: diag.CodeGroupLimit, Resource: "group", Limit: g.lim.MaxGroups}
+		return g.groupLimitError()
 	}
 	return g.check()
 }
 
-// bytesRemaining reports the unused byte budget, or -1 when unlimited.
-func (g *governor) bytesRemaining() int64 {
-	if g == nil || g.lim.MaxBytes <= 0 {
+// groupLimitError is the typed MaxGroups failure.
+func (g *governor) groupLimitError() error {
+	return &LimitError{PCTCode: diag.CodeGroupLimit, Resource: "group", Limit: g.lim.MaxGroups}
+}
+
+// groupRoom reports how many more groups the statement may allocate, or -1
+// when unlimited.
+func (g *governor) groupRoom() int64 {
+	if g == nil || g.lim.MaxGroups <= 0 {
 		return -1
 	}
-	rem := g.lim.MaxBytes - atomic.LoadInt64(&g.c.bytes)
-	if rem < 0 {
-		rem = 0
-	}
-	return rem
+	return max(g.lim.MaxGroups-atomic.LoadInt64(&g.c.groups), 0)
 }
 
 // scanned reports the statement's scanned-row counter. The

@@ -82,7 +82,7 @@ func TestCancelBoundedRows(t *testing.T) {
 	}
 	specs := []aggSpec{{call: &expr.AggCall{Fn: expr.AggSum, Arg: expr.QCol("", "v")}, arg: argExpr}}
 
-	_, err = hashAggregateSeq(scan, []expr.Expr{keyExpr}, specs, gov)
+	_, err = hashAggregate(scan, []expr.Expr{keyExpr}, specs, execCtx{par: 1, gov: gov})
 	var ce *CancelledError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want CancelledError", err)
@@ -213,24 +213,107 @@ func TestCancelledDMLLeavesTableUntouched(t *testing.T) {
 	}
 }
 
-// TestWorkerErrorDeterministic: with a governor installed, the parallel
-// fan-out reports the lowest partition's real error even though siblings are
-// cancelled racing it.
+// TestWorkerErrorDeterministic: with a governor installed, the fold
+// driver's fan-out reports the lowest partition's real error even though
+// siblings are cancelled racing it.
 func TestWorkerErrorDeterministic(t *testing.T) {
-	parts := []partResult{
-		{err: &CancelledError{cause: context.Canceled}},
-		{err: fmt.Errorf("boom in partition 2")},
-		{err: &CancelledError{cause: context.Canceled}},
+	errs := []error{
+		&CancelledError{cause: context.Canceled},
+		fmt.Errorf("boom in partition 2"),
+		&CancelledError{cause: context.Canceled},
 	}
-	if err := workerError(parts); err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Errorf("workerError = %v, want the real error", err)
+	if err := partitionError(errs); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Errorf("partitionError = %v, want the real error", err)
 	}
-	parts = []partResult{
-		{err: &CancelledError{cause: context.Canceled}},
-		{},
-	}
+	errs = []error{&CancelledError{cause: context.Canceled}, nil}
 	var ce *CancelledError
-	if err := workerError(parts); !errors.As(err, &ce) {
-		t.Errorf("workerError = %v, want the cancellation when nothing else failed", err)
+	if err := partitionError(errs); !errors.As(err, &ce) {
+		t.Errorf("partitionError = %v, want the cancellation when nothing else failed", err)
+	}
+}
+
+// TestFoldCopyStopsAtBudget pins that the scalar kernel's materialized
+// copy (P != 1) is charged as it is built: an input far over MaxRows or
+// MaxBytes stops within a stride or two of the limit instead of being
+// copied whole, and a fold within budget charges each row exactly once.
+func TestFoldCopyStopsAtBudget(t *testing.T) {
+	const nRows = 200_000
+	tab := bigGroupTable(t, nRows)
+	cols := expr.SchemaResolver([]string{"g", "v"})
+	keyExpr, err := expr.Bind(expr.QCol("", "g"), cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	argExpr, err := expr.Bind(expr.QCol("", "v"), cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []aggSpec{{call: &expr.AggCall{Fn: expr.AggSum}, arg: argExpr}}
+	fold := func(par int, lim Limits) (*governor, error) {
+		gov := newGovernor(context.Background(), lim)
+		scan := newTableScan(tab, "big")
+		scan.gov = gov
+		_, err := hashAggregate(scan, []expr.Expr{keyExpr}, specs, execCtx{par: par, gov: gov})
+		return gov, err
+	}
+	for _, tc := range []struct {
+		name string
+		lim  Limits
+		code string
+	}{
+		{"rows", Limits{MaxRows: 1000}, diag.CodeRowLimit},
+		{"bytes", Limits{MaxBytes: 1000 * 48}, diag.CodeByteBudget},
+	} {
+		for _, par := range []int{0, 1, 2, 8} {
+			gov, err := fold(par, tc.lim)
+			var le *LimitError
+			if !errors.As(err, &le) || le.Code() != tc.code {
+				t.Fatalf("%s P=%d: err = %v, want %s", tc.name, par, err, tc.code)
+			}
+			if got, max := gov.scanned(), int64(2*govStride); got > max {
+				t.Errorf("%s P=%d: scanned %d rows, want <= %d (the copy must stop at the budget)", tc.name, par, got, max)
+			}
+		}
+	}
+	for _, par := range []int{0, 1, 2, 8} {
+		gov, err := fold(par, Limits{MaxRows: nRows, MaxBytes: nRows * 48})
+		if err != nil {
+			t.Fatalf("P=%d within budget: %v", par, err)
+		}
+		if rows, bytes := gov.c.rows, gov.c.bytes; rows != nRows || bytes != nRows*48 {
+			t.Errorf("P=%d: charged %d rows / %d bytes, want %d / %d (each folded row once)", par, rows, bytes, nRows, nRows*48)
+		}
+	}
+}
+
+// TestStoredRowBytesMatchesBoxed pins the columnar byte estimate to
+// estimateRowBytes of the boxed row, NULL strings and overwritten cells
+// included.
+func TestStoredRowBytesMatchesBoxed(t *testing.T) {
+	tab, err := storage.NewTable("t", storage.Schema{
+		{Name: "s", Type: storage.TypeString},
+		{Name: "i", Type: storage.TypeInt},
+		{Name: "u", Type: storage.TypeString},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][]value.Value{
+		{value.NewString("abc"), value.NewInt(1), value.Null},
+		{value.Null, value.Null, value.NewString("hello world")},
+		{value.NewString(""), value.NewInt(3), value.NewString("x")},
+	} {
+		if _, err := tab.AppendRow(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tab.Set(2, 2, value.Null); err != nil {
+		t.Fatal(err)
+	}
+	size := storedRowBytes(tab)
+	for r := 0; r < tab.NumRows(); r++ {
+		if got, want := size(r), estimateRowBytes(tab.Row(r, nil)); got != want {
+			t.Errorf("row %d: storedRowBytes = %d, want %d", r, got, want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/expr"
@@ -207,17 +208,21 @@ func TestEngineParallelismDefaultAndOverride(t *testing.T) {
 }
 
 func TestResolveWorkers(t *testing.T) {
-	if w := resolveWorkers(1); w != 1 {
-		t.Fatalf("resolveWorkers(1) = %d", w)
+	cases := []struct{ par, rows, want int }{
+		{1, 1 << 20, 1},                  // sequential
+		{6, 100, 6},                      // explicit count
+		{6, 4, 4},                        // capped by the row count
+		{6, 0, 1},                        // never below one worker
+		{0, autoParallelMinRows - 1, 1},  // automatic mode below the gate
+		{-3, autoParallelMinRows - 1, 1}, // negative means automatic
 	}
-	if w := resolveWorkers(6); w != 6 {
-		t.Fatalf("resolveWorkers(6) = %d", w)
+	for _, c := range cases {
+		if w := resolveWorkers(c.par, c.rows); w != c.want {
+			t.Errorf("resolveWorkers(%d, %d) = %d, want %d", c.par, c.rows, w, c.want)
+		}
 	}
-	if w := resolveWorkers(0); w < 1 {
-		t.Fatalf("resolveWorkers(0) = %d", w)
-	}
-	if w := resolveWorkers(-3); w < 1 {
-		t.Fatalf("resolveWorkers(-3) = %d", w)
+	if w := resolveWorkers(0, 1<<20); w != runtime.GOMAXPROCS(0) {
+		t.Errorf("resolveWorkers(0, 1<<20) = %d, want GOMAXPROCS %d", w, runtime.GOMAXPROCS(0))
 	}
 }
 
@@ -335,4 +340,36 @@ func TestAccumulatorMergeSemantics(t *testing.T) {
 			t.Fatal("min ← max merge should fail")
 		}
 	})
+}
+
+// TestAggCountersKernelParity: the fold driver counts every fold in one
+// place, so the batch and scalar kernels move engine.agg.parallel and
+// engine.agg.seq_fallback identically on the same input, below and above
+// the automatic mode's row threshold.
+func TestAggCountersKernelParity(t *testing.T) {
+	for _, n := range []int{autoParallelMinRows - 1, autoParallelMinRows} {
+		cat := storage.NewCatalog()
+		cat.Put(bigGroupTable(t, n))
+		e := New(cat)
+		e.SetParallelism(0)
+		var deltas [2][2]int64 // [scalar, batch][parallel, seq_fallback]
+		for ki, batch := range []bool{false, true} {
+			e.SetBatch(batch)
+			par, seq, folds := mAggParallel.Value(), mAggSeqFallback.Value(), mBatchFolds.Value()
+			mustExec(t, e, "SELECT g, sum(v) FROM big GROUP BY g")
+			if ran := mBatchFolds.Value() != folds; ran != batch {
+				t.Fatalf("n=%d: batch kernel ran = %v, want %v", n, ran, batch)
+			}
+			deltas[ki] = [2]int64{mAggParallel.Value() - par, mAggSeqFallback.Value() - seq}
+		}
+		if deltas[0] != deltas[1] {
+			t.Errorf("n=%d: scalar (parallel, seq_fallback) = %v, batch = %v; want equal", n, deltas[0], deltas[1])
+		}
+		if got := deltas[0][0] + deltas[0][1]; got != 1 {
+			t.Errorf("n=%d: one fold counted %d times, want 1", n, got)
+		}
+		if n < autoParallelMinRows && deltas[0][1] != 1 {
+			t.Errorf("n=%d: below the threshold the fold must count as seq_fallback, got %v", n, deltas[0])
+		}
+	}
 }

@@ -71,9 +71,10 @@ var (
 	mJoinBuilds     = obs.Default.Counter("engine.join.builds")
 	mJoinIndexReuse = obs.Default.Counter("engine.join.index_reuse")
 	// Lifecycle metrics (lifecycle.go): statements stopped by their context,
-	// statements over a resource limit, panics contained into errors, and
-	// parallel aggregations degraded to sequential under byte-budget
-	// pressure.
+	// statements over a resource limit and panics contained into errors.
+	// engine.agg.budget_fallback stays registered so the metric set is
+	// stable; since every fold charges each input row once at any P, no
+	// fold falls back under byte-budget pressure and it stays zero.
 	mCancelled         = obs.Default.Counter("engine.cancelled")
 	mLimitsExceeded    = obs.Default.Counter("engine.limits.exceeded")
 	mPanics            = obs.Default.Counter("engine.panics")
