@@ -110,11 +110,11 @@ func BenchmarkTable4FjFromF(b *testing.B) {
 // ---- Table 5: Hpct strategies ----
 
 func BenchmarkTable5FromF(b *testing.B) {
-	runHpct(b, core.Options{})
+	runHpct(b, core.Options{Hpct: core.HpctOptions{CaseTerms: true}})
 }
 
 func BenchmarkTable5FromFV(b *testing.B) {
-	runHpct(b, core.Options{Hpct: core.HpctOptions{FromFV: true, Vpct: core.VpctOptions{SubkeyIndexes: true}}})
+	runHpct(b, core.Options{Hpct: core.HpctOptions{FromFV: true, Vpct: core.VpctOptions{SubkeyIndexes: true}, CaseTerms: true}})
 }
 
 // ---- Table 6: percentage aggregations vs OLAP extensions ----
@@ -176,11 +176,11 @@ func BenchmarkTableH3SPJFromFV(b *testing.B) {
 }
 
 func BenchmarkTableH3CASEFromF(b *testing.B) {
-	runHagg(b, core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE}})
+	runHagg(b, core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE, CaseTerms: true}})
 }
 
 func BenchmarkTableH3CASEFromFV(b *testing.B) {
-	runHagg(b, core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE, FromFV: true}})
+	runHagg(b, core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE, FromFV: true, CaseTerms: true}})
 }
 
 // ---- Parallel partitioned aggregation: P=1 vs P=GOMAXPROCS ----
@@ -261,29 +261,14 @@ func BenchmarkDeltaApply(b *testing.B) {
 	}
 }
 
-// ---- Ablation: CASE evaluation vs the proposed hash pivot ----
+// ---- Ablation: CASE evaluation vs the hash pivot (the default) ----
 
-func BenchmarkAblationHpctCASE(b *testing.B) {
+// runAblationHpct times the four sales Hpct queries under opts.
+func runAblationHpct(b *testing.B, opts core.Options) {
 	s := benchSuite(b)
 	if err := s.Ensure("sales"); err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, q := range s.PrimaryQueries()[4:] {
-			if _, err := s.TimeQuery(q.HpctSQL(), core.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkAblationHpctHashPivot(b *testing.B) {
-	s := benchSuite(b)
-	if err := s.Ensure("sales"); err != nil {
-		b.Fatal(err)
-	}
-	opts := core.Options{Hpct: core.HpctOptions{HashPivot: true}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range s.PrimaryQueries()[4:] {
@@ -292,4 +277,12 @@ func BenchmarkAblationHpctHashPivot(b *testing.B) {
 			}
 		}
 	}
+}
+
+func BenchmarkAblationHpctCASE(b *testing.B) {
+	runAblationHpct(b, core.Options{Hpct: core.HpctOptions{CaseTerms: true}})
+}
+
+func BenchmarkAblationHpctHashPivot(b *testing.B) {
+	runAblationHpct(b, core.Options{})
 }

@@ -44,10 +44,7 @@ var batchScenarios = []batchScenario{
 	},
 	{
 		name: "pivot",
-		prep: func(db *pctagg.DB) {
-			db.SetStrategies(pctagg.Strategies{Hpct: pctagg.HpctStrategy{HashPivot: true}})
-		},
-		sql: "SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state",
+		sql:  "SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state",
 		wantRows: map[string]int64{
 			"CA": 0, // presence-checked only; cross-tab cells checked below
 			"TX": 0,

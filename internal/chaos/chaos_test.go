@@ -65,10 +65,7 @@ var scenarios = []scenario{
 	},
 	{
 		point: chaos.PivotAlloc,
-		prep: func(db *pctagg.DB) {
-			db.SetStrategies(pctagg.Strategies{Hpct: pctagg.HpctStrategy{HashPivot: true}})
-		},
-		sql: "SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state",
+		sql:   "SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state",
 	},
 	{
 		point: chaos.InsertSink,

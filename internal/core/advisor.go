@@ -19,6 +19,9 @@ import (
 //   - Hagg: always CASE over SPJ, choosing the indirect (from FV) variant
 //     when the fine grouping is much smaller than F.
 //
+// The advisor never sets CaseTerms: both horizontal classes keep the
+// default hash-pivot evaluation of their CASE transposition.
+//
 // Cardinalities come from live statistics: the number of distinct BY
 // combinations (N) is measured with the feedback query, and the fine
 // grouping size relative to |F| decides the pre-aggregation questions.

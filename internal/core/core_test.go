@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -314,8 +315,10 @@ func TestHpctStrategiesAgree(t *testing.T) {
 		var base *engine.Result
 		for _, opt := range []HpctOptions{
 			{},
+			{CaseTerms: true},
 			{FromFV: true, Vpct: VpctOptions{SubkeyIndexes: true}},
 			{FromFV: true, Vpct: VpctOptions{FjFromF: true}},
+			{FromFV: true, Vpct: VpctOptions{SubkeyIndexes: true}, CaseTerms: true},
 		} {
 			p := newSalesPlanner(t)
 			res := runQuery(t, p, q, Options{Hpct: opt})
@@ -328,12 +331,136 @@ func TestHpctStrategiesAgree(t *testing.T) {
 	}
 }
 
-func TestHpctHashPivotAgrees(t *testing.T) {
+// exactDiff compares two results exactly — columns, rows, values and value
+// kinds — and describes the first difference, or returns "".
+func exactDiff(a, b *engine.Result) string {
+	if fmt.Sprint(a.Columns) != fmt.Sprint(b.Columns) {
+		return fmt.Sprintf("columns %v vs %v", a.Columns, b.Columns)
+	}
+	if len(a.Rows) != len(b.Rows) {
+		return fmt.Sprintf("%d rows vs %d", len(a.Rows), len(b.Rows))
+	}
+	for i := range a.Rows {
+		for j := range a.Rows[i] {
+			va, vb := a.Rows[i][j], b.Rows[i][j]
+			if va.IsNull() != vb.IsNull() || !va.IsNull() && (va.Kind() != vb.Kind() || value.Compare(va, vb) != 0) {
+				return fmt.Sprintf("row %d col %s: %v (%v) vs %v (%v)", i, a.Columns[j], va, va.Kind(), vb, vb.Kind())
+			}
+		}
+	}
+	return ""
+}
+
+// kernelsAgree runs q under opts — the hash pivot — and under caseOpts, the
+// same strategy with literal CASE terms, at P ∈ {1, 2, 8} with batch
+// execution off and on. Every run must equal CASE at P=1 without batch
+// exactly.
+func kernelsAgree(t *testing.T, p *Planner, q string, opts, caseOpts Options) {
+	t.Helper()
+	defer p.Eng.SetBatch(p.Eng.BatchEnabled())
+	var ref *engine.Result
+	for _, batch := range []bool{false, true} {
+		p.Eng.SetBatch(batch)
+		for _, par := range []int{1, 2, 8} {
+			for ki, o := range []Options{caseOpts, opts} {
+				o.Parallelism = par
+				res := runQuery(t, p, q, o)
+				if ref == nil {
+					ref = res
+					continue
+				}
+				if diff := exactDiff(ref, res); diff != "" {
+					t.Fatalf("%s: %s at P=%d batch=%v differs from CASE at P=1: %s",
+						q, []string{"CASE", "hash pivot"}[ki], par, batch, diff)
+				}
+			}
+		}
+	}
+}
+
+// narrowPlanner is newSalesPlanner with MaxColumns 4: the daily Hpct and
+// Hagg layouts (store, seven days, extras) need three or more partitions.
+func narrowPlanner(t *testing.T) *Planner {
 	p := newSalesPlanner(t)
-	base := runQuery(t, p, hpctDaily, DefaultOptions())
-	p2 := newSalesPlanner(t)
-	piv := runQuery(t, p2, hpctDaily, Options{Hpct: HpctOptions{HashPivot: true}})
-	sameResults(t, "hash pivot", base, piv)
+	p.MaxColumns = 4
+	return p
+}
+
+func TestHpctHashPivotAgrees(t *testing.T) {
+	direct, fromFV := HpctOptions{}, HpctOptions{FromFV: true, Vpct: VpctOptions{SubkeyIndexes: true}}
+	cases := []struct {
+		load func(*testing.T) *Planner
+		q    string
+		opts HpctOptions
+	}{
+		{newSalesPlanner, hpctDaily, direct},
+		{newSalesPlanner, "SELECT store, Hpct(salesAmt BY dweek), sum(salesAmt), avg(salesAmt), count(DISTINCT salesAmt), count(*), min(salesAmt) FROM daily GROUP BY store", direct},
+		{newSalesPlanner, "SELECT state, Hpct(salesAmt BY city), Hpct(1 BY city) FROM sales GROUP BY state", direct},
+		{newSalesPlanner, "SELECT Hpct(salesAmt BY state, city), count(*) FROM sales", direct},
+		{newSalesPlanner, "SELECT store, Hpct(salesAmt BY dweek) FROM daily WHERE salesAmt > 7 GROUP BY store", direct},
+		{narrowPlanner, "SELECT store, Hpct(salesAmt BY dweek), sum(salesAmt) FROM daily GROUP BY store", direct},
+		{newSalesPlanner, "SELECT store, Hpct(salesAmt BY dweek), sum(salesAmt), avg(salesAmt), count(*), max(salesAmt) FROM daily GROUP BY store", fromFV},
+		{newSalesPlanner, "SELECT Hpct(salesAmt BY city), count(salesAmt) FROM sales", fromFV},
+		{narrowPlanner, "SELECT store, Hpct(salesAmt BY dweek), sum(salesAmt) FROM daily GROUP BY store", fromFV},
+		{newSalesPlanner, "SELECT store, Hpct(salesAmt BY dweek), sum(salesAmt), GROUPING(store) FROM daily GROUP BY ROLLUP(store)", direct},
+		{newNullMeasurePlanner, "SELECT g, Hpct(a BY d), count(a) FROM f GROUP BY g", direct},
+		{newNullMeasurePlanner, "SELECT g, Hpct(a BY d), count(a) FROM f GROUP BY g", fromFV},
+	}
+	for _, c := range cases {
+		caseOpts := c.opts
+		caseOpts.CaseTerms = true
+		kernelsAgree(t, c.load(t), c.q, Options{Hpct: c.opts}, Options{Hpct: caseOpts})
+	}
+
+	// Random tables: zero and NULL totals, NULL dimensions, CUBE nodes.
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 2; trial++ {
+		p := randPlanner(t, rng, 200+rng.Intn(200))
+		for _, q := range []string{
+			"SELECT d1, Hpct(a BY d2, d3), sum(a), count(DISTINCT d3) FROM f GROUP BY d1",
+			"SELECT d1, d3, Hpct(a BY d2), count(*) FROM f GROUP BY CUBE(d1, d3)",
+		} {
+			kernelsAgree(t, p, q, Options{}, Options{Hpct: HpctOptions{CaseTerms: true}})
+		}
+		kernelsAgree(t, p, "SELECT d1, Hpct(a BY d2), avg(a) FROM f GROUP BY d1",
+			Options{Hpct: fromFV}, Options{Hpct: HpctOptions{FromFV: true, Vpct: VpctOptions{SubkeyIndexes: true}, CaseTerms: true}})
+	}
+}
+
+// TestPivotLateCombination appends a row with a new BY value between
+// planning and execution: the planned layout has no column for it, so CASE
+// terms count the row in sum(A) and every extra aggregate but in no cell.
+// The hash pivot must return the identical rows.
+func TestPivotLateCombination(t *testing.T) {
+	queries := []struct {
+		sql string
+		// last is store 2's last extra, which counts the late row.
+		last int64
+	}{
+		{"SELECT store, Hpct(salesAmt BY dweek), sum(salesAmt), count(*) FROM daily GROUP BY store", 8},
+		{"SELECT store, sum(salesAmt BY dweek), count(salesAmt BY dweek), max(salesAmt) FROM daily GROUP BY store", 50},
+	}
+	caseTerms := Options{Hpct: HpctOptions{CaseTerms: true}, Hagg: HaggOptions{CaseTerms: true}}
+	for _, q := range queries {
+		var results [2]*engine.Result
+		for ki, opts := range []Options{{}, caseTerms} {
+			p := newSalesPlanner(t)
+			plan, err := p.PlanSQL(q.sql, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustExec(t, p.Eng, "INSERT INTO daily VALUES (2, 'Xx', 50)")
+			if results[ki], err = p.Execute(plan); err != nil {
+				t.Fatalf("%s: %v", q.sql, err)
+			}
+		}
+		if diff := exactDiff(results[1], results[0]); diff != "" {
+			t.Fatalf("%s: hash pivot differs from CASE terms: %s", q.sql, diff)
+		}
+		if row := results[0].Rows[0]; row[len(row)-1].Int() != q.last {
+			t.Errorf("%s: store 2's last extra = %v, want %d", q.sql, row[len(row)-1], q.last)
+		}
+	}
 }
 
 func TestHpctWithTotalColumn(t *testing.T) {
@@ -402,6 +529,8 @@ func TestHaggFourStrategiesAgree(t *testing.T) {
 		for _, opt := range []HaggOptions{
 			{Method: HaggCASE},
 			{Method: HaggCASE, FromFV: true},
+			{Method: HaggCASE, CaseTerms: true},
+			{Method: HaggCASE, FromFV: true, CaseTerms: true},
 			{Method: HaggSPJ},
 			{Method: HaggSPJ, FromFV: true},
 		} {
@@ -487,25 +616,37 @@ func newNullMeasurePlanner(t *testing.T) *Planner {
 }
 
 func TestHaggHashPivotAgrees(t *testing.T) {
+	direct, fromFV := HaggOptions{Method: HaggCASE}, HaggOptions{Method: HaggCASE, FromFV: true}
 	cases := []struct {
 		load func(*testing.T) *Planner
 		q    string
+		opts HaggOptions
 	}{
-		{newSalesPlanner, "SELECT store, sum(salesAmt BY dweek) FROM daily GROUP BY store"},
-		{newSalesPlanner, "SELECT store, max(1 BY dweek DEFAULT 0) FROM daily GROUP BY store"},
-		{newNullMeasurePlanner, "SELECT g, count(a BY d) FROM f GROUP BY g"},
+		// Store 4 has no Monday: an absent combination under sum and count.
+		{newSalesPlanner, "SELECT store, sum(salesAmt BY dweek) FROM daily GROUP BY store", direct},
+		{newSalesPlanner, "SELECT store, count(salesAmt BY dweek), count(*) FROM daily GROUP BY store", direct},
+		{newSalesPlanner, "SELECT store, max(1 BY dweek DEFAULT 0) FROM daily GROUP BY store", direct},
+		{newSalesPlanner, "SELECT state, count(DISTINCT salesAmt BY city), sum(salesAmt), avg(salesAmt), count(DISTINCT city) FROM sales GROUP BY state", direct},
+		{newSalesPlanner, "SELECT state, sum(salesAmt BY city), avg(salesAmt BY city), min(RID BY city), sum(salesAmt) FROM sales GROUP BY state", direct},
+		{newSalesPlanner, "SELECT sum(salesAmt BY state, city) FROM sales WHERE salesAmt > 10", direct},
+		{narrowPlanner, "SELECT store, sum(salesAmt BY dweek), count(*) FROM daily GROUP BY store", direct},
+		{newSalesPlanner, "SELECT store, sum(salesAmt BY dweek), avg(salesAmt BY dweek), min(salesAmt BY dweek), count(salesAmt BY dweek), sum(salesAmt), avg(salesAmt) FROM daily GROUP BY store", fromFV},
+		{newSalesPlanner, "SELECT sum(salesAmt BY city), max(RID BY state DEFAULT 0), count(*) FROM sales", fromFV},
+		{narrowPlanner, "SELECT store, count(salesAmt BY dweek), max(salesAmt) FROM daily GROUP BY store", fromFV},
+		{newNullMeasurePlanner, "SELECT g, count(a BY d), sum(a BY d), count(DISTINCT a BY d), avg(a) FROM f GROUP BY g", direct},
+		{newNullMeasurePlanner, "SELECT g, count(a BY d), sum(a BY d), avg(a BY d), avg(a) FROM f GROUP BY g", fromFV},
 	}
 	for _, c := range cases {
-		base := runQuery(t, c.load(t), c.q, DefaultOptions())
-		piv := runQuery(t, c.load(t), c.q, Options{Hagg: HaggOptions{Method: HaggCASE, HashPivot: true}})
-		sameResults(t, c.q, base, piv)
+		caseOpts := c.opts
+		caseOpts.CaseTerms = true
+		kernelsAgree(t, c.load(t), c.q, Options{Hagg: c.opts}, Options{Hagg: caseOpts})
 	}
 
 	// A combination whose rows all have NULL measures counts 0, as CASE and
 	// SPJ give; a combination without rows stays NULL.
 	q := "SELECT g, count(a BY d) FROM f GROUP BY g"
 	spj := runQuery(t, newNullMeasurePlanner(t), q, Options{Hagg: HaggOptions{Method: HaggSPJ}})
-	piv := runQuery(t, newNullMeasurePlanner(t), q, Options{Hagg: HaggOptions{Method: HaggCASE, HashPivot: true}})
+	piv := runQuery(t, newNullMeasurePlanner(t), q, DefaultOptions())
 	sameResults(t, q+" (SPJ)", spj, piv)
 	want := [][]string{{"1", "1", "0", "NULL"}, {"2", "1", "NULL", "1"}}
 	for i, row := range piv.Rows {
@@ -724,10 +865,13 @@ func TestHorizontalStrategiesAgreeWithWhere(t *testing.T) {
 		opts []Options
 	}{
 		{"SELECT store, Hpct(salesAmt BY dweek) FROM daily WHERE salesAmt > 7 GROUP BY store",
-			[]Options{{}, {Hpct: HpctOptions{FromFV: true}}, {Hpct: HpctOptions{HashPivot: true}}}},
+			[]Options{{}, {Hpct: HpctOptions{FromFV: true}}, {Hpct: HpctOptions{CaseTerms: true}},
+				{Hpct: HpctOptions{FromFV: true, CaseTerms: true}}}},
 		{"SELECT store, sum(salesAmt BY dweek) FROM daily WHERE salesAmt > 7 GROUP BY store",
 			[]Options{
 				{Hagg: HaggOptions{Method: HaggCASE}},
+				{Hagg: HaggOptions{Method: HaggCASE, CaseTerms: true}},
+				{Hagg: HaggOptions{Method: HaggCASE, FromFV: true, CaseTerms: true}},
 				{Hagg: HaggOptions{Method: HaggCASE, FromFV: true}},
 				{Hagg: HaggOptions{Method: HaggSPJ}},
 				{Hagg: HaggOptions{Method: HaggSPJ, FromFV: true}},

@@ -29,10 +29,11 @@ func TestGeneratedSQLGolden(t *testing.T) {
 			Options{Vpct: VpctOptions{FjFromF: true}}},
 		{"vpct_missing_post", "SELECT store, dweek, Vpct(salesAmt BY dweek) FROM daily GROUP BY store, dweek",
 			Options{Vpct: VpctOptions{SubkeyIndexes: true, MissingRows: MissingPost}}},
-		{"hpct_direct", hpctDaily, DefaultOptions()},
+		{"hpct_direct", hpctDaily, Options{Hpct: HpctOptions{CaseTerms: true}}},
 		{"hpct_from_fv", hpctDaily,
-			Options{Hpct: HpctOptions{FromFV: true, Vpct: VpctOptions{SubkeyIndexes: true}}}},
-		{"hagg_case", "SELECT store, sum(salesAmt BY dweek) FROM daily GROUP BY store", DefaultOptions()},
+			Options{Hpct: HpctOptions{FromFV: true, Vpct: VpctOptions{SubkeyIndexes: true}, CaseTerms: true}}},
+		{"hagg_case", "SELECT store, sum(salesAmt BY dweek) FROM daily GROUP BY store",
+			Options{Hagg: HaggOptions{CaseTerms: true}}},
 		{"hagg_spj", "SELECT store, sum(salesAmt BY dweek) FROM daily GROUP BY store",
 			Options{Hagg: HaggOptions{Method: HaggSPJ}}},
 	}

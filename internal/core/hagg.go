@@ -18,9 +18,11 @@ type haggTerm struct {
 // planHorizontalAgg generates plans for the companion paper's horizontal
 // aggregations: any standard aggregate with a BY subgrouping list. Two
 // strategies exist (its Table 3): CASE — one aggregation whose terms are
-// CASE expressions — and SPJ — one filtered aggregate table per combination
-// assembled with left outer joins. Each runs either directly from F or
-// indirectly from the vertical pre-aggregate FV.
+// CASE expressions, evaluated as one native hash pivot unless
+// opts.CaseTerms asks for the literal terms — and SPJ — one filtered
+// aggregate table per combination assembled with left outer joins. Each
+// runs either directly from F or indirectly from the vertical pre-aggregate
+// FV.
 func (p *Planner) planHorizontalAgg(a *analysis, opts HaggOptions) (*Plan, error) {
 	plan := &Plan{Class: ClassHorizontalAgg}
 
@@ -105,38 +107,52 @@ func (p *Planner) planHorizontalAgg(a *analysis, opts HaggOptions) (*Plan, error
 
 	switch opts.Method {
 	case HaggCASE:
-		if opts.HashPivot {
-			if opts.FromFV || len(terms) != 1 || len(extras) != 0 {
-				return nil, fmt.Errorf("core: HashPivot supports a single BY term evaluated directly from F")
+		// Each term and extra renders as CASE SQL and as hash-pivot terms
+		// (from FV: its partials' re-aggregation); read adds the pivot
+		// terms of one and returns how its column ci reads back.
+		pv := newPivotPlan(a.groupCols)
+		read := func(key int, call *expr.AggCall, by []string, combos []combo) func(ci int) emitFn {
+			if opts.FromFV {
+				return pv.addPartial(call, partialCols[key], by, combos)
 			}
-			return p.planHaggHashPivot(plan, a, terms[0].call, terms[0].combos, groupNames, valueNames)
+			first := pv.add(call, call.Arg, by, combos)
+			return func(ci int) emitFn { return cellOf(first+ci, call.Default) }
 		}
-		var vals []hvalue
+		var vals, extraVals []hvalue
 		vi := 0
 		for ti, t := range terms {
-			for _, c := range t.combos {
+			col := read(ti, t.call, t.call.By, t.combos)
+			for ci, c := range t.combos {
 				vals = append(vals, hvalue{
 					name: valueNames[vi],
 					typ:  aggResultType(t.call, a.schema),
 					sel:  p.haggCaseTerm(ti, t, comboCond("", t.call.By, c.vals), opts.FromFV, partialCols),
+					emit: col(ci),
 				})
 				vi++
 			}
 		}
-		var extraVals []hvalue
 		for xi, idx := range extras {
+			call := a.items[idx].agg
 			extraVals = append(extraVals, hvalue{
 				name: extraNames[xi],
-				typ:  aggResultType(a.items[idx].agg, a.schema),
-				sel:  p.haggExtraSQL(xi, a.items[idx].agg, opts.FromFV, partialCols),
+				typ:  aggResultType(call, a.schema),
+				sel:  p.haggExtraSQL(xi, call, opts.FromFV, partialCols),
+				emit: read(^xi, call, nil, nil)(0),
 			})
 		}
-		purpose := "compute FH with CASE terms directly from F"
+		casePurpose, pivotPurpose := "compute FH with CASE terms directly from F", "hash-pivot F into FH (one O(1) column lookup per row)"
+		where := a.where
 		if opts.FromFV {
-			purpose = "compute FH with CASE terms from FV"
+			casePurpose, pivotPurpose = "compute FH with CASE terms from FV", "hash-pivot FV into FH (one O(1) column lookup per row)"
+			where = nil
 		}
-		holder := p.emitHorizontalInserts(plan, a, source, groupNames, vals, extraVals,
-			purpose, a.groupCols, sourceWhere)
+		var holder map[string]string
+		if opts.CaseTerms {
+			holder = p.emitHorizontalInserts(plan, a, source, groupNames, vals, extraVals, casePurpose, sourceWhere)
+		} else {
+			holder = p.emitHorizontalPivot(plan, a, source, where, pv, groupNames, vals, extraVals, pivotPurpose)
+		}
 		p.finishHorizontalPlan(plan, a, groupNames, valueNames, extraNames, holder)
 		return plan, nil
 
@@ -268,16 +284,7 @@ func (p *Planner) haggExtraSQL(xi int, call *expr.AggCall, fromFV bool,
 	if !fromFV {
 		return call.String()
 	}
-	pc := partialCols[^xi]
-	switch call.Fn {
-	case expr.AggSum, expr.AggCount:
-		return "sum(" + quoteIdent(pc[0]) + ")"
-	case expr.AggMin, expr.AggMax:
-		return string(call.Fn) + "(" + quoteIdent(pc[0]) + ")"
-	case expr.AggAvg:
-		return fmt.Sprintf("sum(%s) / sum(%s)", quoteIdent(pc[0]), quoteIdent(pc[1]))
-	}
-	return call.String()
+	return partialSQL(call, partialCols[^xi])
 }
 
 // planHaggSPJ generates the relational-operators-only strategy: a key table
@@ -456,15 +463,7 @@ func (p *Planner) haggSPJAggSQL(ti int, call *expr.AggCall, fromFV bool,
 	partialCols map[int][]string) string {
 
 	if fromFV {
-		pc := partialCols[ti]
-		switch call.Fn {
-		case expr.AggSum, expr.AggCount:
-			return "sum(" + quoteIdent(pc[0]) + ")"
-		case expr.AggMin, expr.AggMax:
-			return string(call.Fn) + "(" + quoteIdent(pc[0]) + ")"
-		case expr.AggAvg:
-			return fmt.Sprintf("sum(%s) / sum(%s)", quoteIdent(pc[0]), quoteIdent(pc[1]))
-		}
+		return partialSQL(call, partialCols[ti])
 	}
 	switch {
 	case call.Distinct:

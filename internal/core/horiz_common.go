@@ -15,10 +15,13 @@ type combo struct {
 }
 
 // feedbackCombos runs the feedback query the paper requires to lay out FH:
-// SELECT DISTINCT Dj+1..Dk FROM F, ordered for deterministic column order.
+// the distinct Dj+1..Dk combinations of F, ordered for deterministic column
+// order. It is issued as SELECT Dj+1..Dk FROM F GROUP BY Dj+1..Dk rather
+// than SELECT DISTINCT: the same rows in the same order, but folded by the
+// engine's aggregation kernel instead of projecting every row of F first.
 func (p *Planner) feedbackCombos(table string, byCols []string, whereSQL string) ([]combo, error) {
-	sql := fmt.Sprintf("SELECT DISTINCT %s FROM %s%s ORDER BY %s",
-		joinIdents(byCols), table, whereSQL, joinIdents(byCols))
+	by := joinIdents(byCols)
+	sql := fmt.Sprintf("SELECT %s FROM %s%s GROUP BY %s ORDER BY %s", by, table, whereSQL, by, by)
 	res, err := p.Eng.ExecSQL(sql)
 	if err != nil {
 		return nil, fmt.Errorf("core: feedback query failed: %w", err)

@@ -9,11 +9,13 @@ import (
 )
 
 // hvalue is one value column of a horizontal result: its output name, type,
-// and the SELECT expression that fills it.
+// and either the SELECT expression that fills it (CASE terms) or how it is
+// computed from the hash pivot's output row.
 type hvalue struct {
 	name string
 	typ  storage.ColumnType
 	sel  string
+	emit emitFn
 }
 
 // planHorizontalPct generates the Hpct evaluation plan of Section 3.2. The
@@ -21,7 +23,8 @@ type hvalue struct {
 // of sum(CASE…)/sum(A) terms, or computing the vertical percentage table FV
 // first and transposing it. Either way the plan starts with the feedback
 // process the paper describes: reading the distinct BY combinations to
-// define FH's columns.
+// define FH's columns. The transposition runs as one native hash pivot
+// unless opts.CaseTerms asks for the literal CASE terms.
 func (p *Planner) planHorizontalPct(a *analysis, opts HpctOptions) (*Plan, error) {
 	plan := &Plan{Class: ClassHorizontalPct}
 
@@ -94,9 +97,6 @@ func (p *Planner) planHorizontalPct(a *analysis, opts HpctOptions) (*Plan, error
 	}
 
 	if opts.FromFV {
-		if opts.HashPivot {
-			return nil, fmt.Errorf("core: HashPivot applies to the direct (from F) strategy")
-		}
 		if len(terms) != 1 {
 			return nil, fmt.Errorf("core: the from-FV strategy supports a single Hpct term; use the direct strategy for %d terms", len(terms))
 		}
@@ -104,40 +104,41 @@ func (p *Planner) planHorizontalPct(a *analysis, opts HpctOptions) (*Plan, error
 	}
 
 	// ---- direct strategy: one scan of F ----
-	var vals []hvalue
+	pv := newPivotPlan(a.groupCols)
+	var vals, extraVals []hvalue
 	vi := 0
 	for _, t := range terms {
 		mSQL := t.call.Arg.String()
-		for _, c := range t.combos {
+		cells, total := pv.sumOf(t.call.Arg, t.call.By, t.combos), pv.sumOf(t.call.Arg, nil, nil)
+		for ci, c := range t.combos {
 			cond := comboCond("", t.call.By, c.vals)
 			vals = append(vals, hvalue{
 				name: valueNames[vi],
 				typ:  storage.TypeFloat,
 				sel: fmt.Sprintf("CASE WHEN sum(%s) <> 0 THEN sum(CASE WHEN %s THEN %s ELSE 0 END) / sum(%s) ELSE NULL END",
 					mSQL, cond, mSQL, mSQL),
+				emit: pctOf(cells+ci, total),
 			})
 			vi++
 		}
 	}
-	var extraVals []hvalue
 	for n, idx := range extras {
 		call := a.items[idx].agg
 		extraVals = append(extraVals, hvalue{
 			name: extraNames[n],
 			typ:  aggResultType(call, a.schema),
 			sel:  call.String(),
+			emit: cellOf(pv.add(call, call.Arg, nil, nil), nil),
 		})
 	}
-
-	if opts.HashPivot {
-		if len(terms) != 1 {
-			return nil, fmt.Errorf("core: HashPivot supports a single Hpct term")
-		}
-		return p.planHpctHashPivot(plan, a, terms[0].call, terms[0].combos, groupNames, valueNames, extras, extraNames)
+	var holder map[string]string
+	if opts.CaseTerms {
+		holder = p.emitHorizontalInserts(plan, a, a.table, groupNames, vals, extraVals,
+			"compute FH directly from F in one scan", a.whereSQL())
+	} else {
+		holder = p.emitHorizontalPivot(plan, a, a.table, a.where, pv, groupNames, vals, extraVals,
+			"hash-pivot F into FH (one O(1) column lookup per row)")
 	}
-
-	holder := p.emitHorizontalInserts(plan, a, a.table, groupNames, vals, extraVals,
-		"compute FH directly from F in one scan", a.groupCols, a.whereSQL())
 	p.finishHorizontalPlan(plan, a, groupNames, valueNames, extraNames, holder)
 	return plan, nil
 }
@@ -165,22 +166,17 @@ func (p *Planner) planHpctFromFV(plan *Plan, a *analysis, call *expr.AggCall, co
 	}
 	// Extra aggregates ride along as distributive partials at the fine
 	// level and are re-aggregated during transposition.
-	type partial struct {
-		cols  []string // partial column aliases in FV
-		reagg string   // SELECT expression over FV
-		typ   storage.ColumnType
-	}
-	var partials []partial
-	for _, idx := range extras {
+	partials := make([][]string, len(extras)) // partial column aliases in FV
+	for n, idx := range extras {
 		x := a.items[idx].agg
 		if x.Distinct {
 			return nil, fmt.Errorf("core: count(DISTINCT …) terms are not distributive; use the direct (from F) strategy")
 		}
 		switch x.Fn {
-		case expr.AggSum:
+		case expr.AggSum, expr.AggMin, expr.AggMax:
 			c := p.temp("xp")
-			sel = append(sel, fmt.Sprintf("sum(%s) AS %s", x.Arg.String(), c))
-			partials = append(partials, partial{cols: []string{c}, reagg: "sum(" + quoteIdent(c) + ")", typ: aggResultType(x, a.schema)})
+			sel = append(sel, fmt.Sprintf("%s(%s) AS %s", x.Fn, x.Arg.String(), c))
+			partials[n] = []string{c}
 		case expr.AggCount:
 			c := p.temp("xp")
 			arg := "*"
@@ -188,17 +184,12 @@ func (p *Planner) planHpctFromFV(plan *Plan, a *analysis, call *expr.AggCall, co
 				arg = x.Arg.String()
 			}
 			sel = append(sel, fmt.Sprintf("count(%s) AS %s", arg, c))
-			partials = append(partials, partial{cols: []string{c}, reagg: "sum(" + quoteIdent(c) + ")", typ: storage.TypeInt})
-		case expr.AggMin, expr.AggMax:
-			c := p.temp("xp")
-			sel = append(sel, fmt.Sprintf("%s(%s) AS %s", x.Fn, x.Arg.String(), c))
-			partials = append(partials, partial{cols: []string{c}, reagg: string(x.Fn) + "(" + quoteIdent(c) + ")", typ: aggResultType(x, a.schema)})
+			partials[n] = []string{c}
 		case expr.AggAvg:
 			s, c := p.temp("xp"), p.temp("xp")
 			sel = append(sel, fmt.Sprintf("sum(%s) AS %s", x.Arg.String(), s),
 				fmt.Sprintf("count(%s) AS %s", x.Arg.String(), c))
-			partials = append(partials, partial{cols: []string{s, c},
-				reagg: fmt.Sprintf("sum(%s) / sum(%s)", quoteIdent(s), quoteIdent(c)), typ: storage.TypeFloat})
+			partials[n] = []string{s, c}
 		default:
 			return nil, fmt.Errorf("core: unsupported extra aggregate %s with the from-FV strategy", x.Fn)
 		}
@@ -222,37 +213,64 @@ func (p *Planner) planHpctFromFV(plan *Plan, a *analysis, call *expr.AggCall, co
 	fv := sub.ResultTable
 
 	// Transpose FV: one CASE term per combination picks that row's
-	// percentage; missing combinations contribute 0%.
-	var vals []hvalue
+	// percentage; missing combinations contribute 0%. As a hash pivot, each
+	// cell is the percentage of FV's one row per (group, combination).
+	pv := newPivotPlan(a.groupCols)
+	cells := pv.sumOf(&expr.ColumnRef{Name: pctAlias}, call.By, combos)
+	var vals, extraVals []hvalue
 	for i, c := range combos {
 		cond := comboCond("", call.By, c.vals)
 		vals = append(vals, hvalue{
 			name: valueNames[i],
 			typ:  storage.TypeFloat,
 			sel:  fmt.Sprintf("sum(CASE WHEN %s THEN %s ELSE 0 END)", cond, quoteIdent(pctAlias)),
+			emit: zeroSumOf(cells + i),
 		})
 	}
-	var extraVals []hvalue
-	for n := range extras {
-		extraVals = append(extraVals, hvalue{name: extraNames[n], typ: partials[n].typ, sel: partials[n].reagg})
+	for n, idx := range extras {
+		x := a.items[idx].agg
+		extraVals = append(extraVals, hvalue{
+			name: extraNames[n],
+			typ:  aggResultType(x, a.schema),
+			sel:  partialSQL(x, partials[n]),
+			emit: pv.addPartial(x, partials[n], nil, nil)(0),
+		})
 	}
-	holder := p.emitHorizontalInserts(plan, a, fv, groupNames, vals, extraVals,
-		"transpose FV into FH", a.groupCols, "")
+	var holder map[string]string
+	if opts.CaseTerms {
+		holder = p.emitHorizontalInserts(plan, a, fv, groupNames, vals, extraVals, "transpose FV into FH", "")
+	} else {
+		holder = p.emitHorizontalPivot(plan, a, fv, nil, pv, groupNames, vals, extraVals,
+			"hash-pivot FV into FH (one O(1) column lookup per row)")
+	}
 	p.finishHorizontalPlan(plan, a, groupNames, valueNames, extraNames, holder)
 	return plan, nil
 }
 
-// emitHorizontalInserts creates the FH table(s) and their INSERT … SELECT
-// statements, vertically partitioning when the column count would exceed
-// MaxColumns. Every partition repeats the grouping columns as its key;
-// extras land in the first partition. It returns which table holds each
-// value/extra column, for partition reassembly.
-func (p *Planner) emitHorizontalInserts(plan *Plan, a *analysis, fromTable string,
-	groupNames []string, vals []hvalue, extraVals []hvalue, purpose string,
-	groupCols []string, whereSQL string) map[string]string {
+// partialSQL renders the re-aggregation of an aggregate's distributive FV
+// partial columns: the partial's super-aggregate (mergeOpFor), or for avg
+// the summed partial sums over the summed partial counts.
+func partialSQL(call *expr.AggCall, cols []string) string {
+	if call.Fn == expr.AggAvg {
+		return fmt.Sprintf("sum(%s) / sum(%s)", quoteIdent(cols[0]), quoteIdent(cols[1]))
+	}
+	op, _ := mergeOpFor(call)
+	return mergeSelect(op, cols[0])
+}
 
-	keyWidth := len(groupNames)
-	budget := p.MaxColumns - keyWidth
+// fhPart is one FH partition table and the value columns it stores.
+type fhPart struct {
+	table string
+	cols  []hvalue
+}
+
+// layoutFH names the FH table(s), vertically partitioning when the column
+// count would exceed MaxColumns: every partition repeats the grouping
+// columns as its key; extras land in the first partition. It registers the
+// tables as the plan's results and cleanup, and returns the partitions and
+// which table holds each value/extra column, for partition reassembly.
+func (p *Planner) layoutFH(plan *Plan, groupNames []string, vals, extraVals []hvalue) ([]fhPart, map[string]string) {
+	budget := p.MaxColumns - len(groupNames)
 	if p.MaxColumns <= 0 {
 		budget = len(vals) + len(extraVals)
 	}
@@ -275,6 +293,7 @@ func (p *Planner) emitHorizontalInserts(plan *Plan, a *analysis, fromTable strin
 		}
 	}
 
+	parts := make([]fhPart, len(chunks))
 	holder := make(map[string]string)
 	for ci, chunk := range chunks {
 		fh := p.temp("fh")
@@ -283,31 +302,55 @@ func (p *Planner) emitHorizontalInserts(plan *Plan, a *analysis, fromTable strin
 		for _, v := range chunk {
 			holder[v.name] = fh
 		}
-		var defs, sels []string
-		for gi, g := range groupCols {
-			defs = append(defs, colDef(groupNames[gi], a.schema[a.schema.ColumnIndex(g)].Type))
-			sels = append(sels, quoteIdent(g))
-		}
-		for _, v := range chunk {
-			defs = append(defs, colDef(v.name, v.typ))
-			sels = append(sels, v.sel)
-		}
-		pkey := ""
-		if len(groupCols) > 0 {
-			pkey = ", PRIMARY KEY(" + joinIdents(groupNames) + ")"
-		}
-		label := purpose
-		if len(chunks) > 1 {
-			label = fmt.Sprintf("%s (partition %d/%d)", purpose, ci+1, len(chunks))
-		}
-		plan.Steps = append(plan.Steps,
-			Step{Purpose: "create FH", SQL: fmt.Sprintf("CREATE TABLE %s (%s%s)", fh, strings.Join(defs, ", "), pkey)},
-			Step{Purpose: label, SQL: fmt.Sprintf("INSERT INTO %s SELECT %s FROM %s%s%s",
-				fh, strings.Join(sels, ", "), fromTable, whereSQL, groupByClause(groupCols))},
-		)
+		parts[ci] = fhPart{table: fh, cols: chunk}
 	}
 	plan.ResultTable = plan.ResultTables[0]
 	plan.N = len(vals)
+	return parts, holder
+}
+
+// createFH renders the CREATE TABLE step of one FH partition: the grouping
+// columns, typed as in F and forming the primary key, then the values.
+func createFH(part fhPart, a *analysis, groupNames []string) Step {
+	var defs []string
+	for gi, g := range a.groupCols {
+		defs = append(defs, colDef(groupNames[gi], a.schema[a.schema.ColumnIndex(g)].Type))
+	}
+	for _, v := range part.cols {
+		defs = append(defs, colDef(v.name, v.typ))
+	}
+	pkey := ""
+	if len(groupNames) > 0 {
+		pkey = ", PRIMARY KEY(" + joinIdents(groupNames) + ")"
+	}
+	return Step{Purpose: "create FH", SQL: fmt.Sprintf("CREATE TABLE %s (%s%s)", part.table, strings.Join(defs, ", "), pkey)}
+}
+
+// emitHorizontalInserts creates the FH table(s) and fills each with an
+// INSERT … SELECT of its columns' CASE terms from fromTable, grouped by the
+// grouping columns. It returns which table holds each value/extra column.
+func (p *Planner) emitHorizontalInserts(plan *Plan, a *analysis, fromTable string,
+	groupNames []string, vals []hvalue, extraVals []hvalue, purpose string, whereSQL string) map[string]string {
+
+	parts, holder := p.layoutFH(plan, groupNames, vals, extraVals)
+	for ci, part := range parts {
+		var sels []string
+		for _, g := range a.groupCols {
+			sels = append(sels, quoteIdent(g))
+		}
+		for _, v := range part.cols {
+			sels = append(sels, v.sel)
+		}
+		label := purpose
+		if len(parts) > 1 {
+			label = fmt.Sprintf("%s (partition %d/%d)", purpose, ci+1, len(parts))
+		}
+		plan.Steps = append(plan.Steps,
+			createFH(part, a, groupNames),
+			Step{Purpose: label, SQL: fmt.Sprintf("INSERT INTO %s SELECT %s FROM %s%s%s",
+				part.table, strings.Join(sels, ", "), fromTable, whereSQL, groupByClause(a.groupCols))},
+		)
+	}
 	return holder
 }
 

@@ -53,13 +53,8 @@ func (p *Planner) planLattice(a *analysis, opts Options) (*Plan, error) {
 			return nil, fmt.Errorf("core: missing-row handling is not supported with GROUP BY %s", kw)
 		}
 	}
-	if a.class == ClassHorizontalPct {
-		if opts.Hpct.FromFV {
-			return nil, fmt.Errorf("core: the from-FV strategy is not supported with GROUP BY %s; use the direct strategy", kw)
-		}
-		if opts.Hpct.HashPivot {
-			return nil, fmt.Errorf("core: HashPivot is not supported with GROUP BY %s", kw)
-		}
+	if a.class == ClassHorizontalPct && opts.Hpct.FromFV {
+		return nil, fmt.Errorf("core: the from-FV strategy is not supported with GROUP BY %s; use the direct strategy", kw)
 	}
 	if len(a.sets) == 0 {
 		return nil, fmt.Errorf("core: internal: GROUP BY %s resolved to no grouping sets", kw)
@@ -384,10 +379,10 @@ func (p *Planner) planLattice(a *analysis, opts Options) (*Plan, error) {
 		}
 
 		if len(hterms) > 0 {
-			// Horizontal node: one grouped select over FS computes every
-			// pivot cell, then a plain projection lands the block in FC
-			// (literals — NULL dims and GROUPING markers — stay out of the
-			// grouped select).
+			// Horizontal node: one hash pivot of FS (or, with CaseTerms, one
+			// grouped select of CASE terms over FS) computes every pivot
+			// cell, then a plain projection lands the block in FC (literals —
+			// NULL dims and GROUPING markers — stay out of the pivot).
 			nh := p.temp("nh")
 			plan.Cleanup = append(plan.Cleanup, Step{Purpose: "drop node summary", SQL: "DROP TABLE IF EXISTS " + nh})
 			var nhCols, nhSelect []string
@@ -396,10 +391,14 @@ func (p *Planner) planLattice(a *analysis, opts Options) (*Plan, error) {
 				nhSelect = append(nhSelect, quoteIdent(g))
 			}
 			hcell := map[int][]string{} // itemIdx → value column names
+			node := fhPart{table: nh}
+			pv := newPivotPlan(set)
 			hn := 0
 			for _, t := range hterms {
 				m := quoteIdent(t.measureCol)
-				for _, c := range t.combos {
+				measure := &expr.ColumnRef{Name: t.measureCol}
+				cells, total := pv.sumOf(measure, t.call.By, t.combos), pv.sumOf(measure, nil, nil)
+				for ci, c := range t.combos {
 					hn++
 					col := fmt.Sprintf("h%d", hn)
 					hcell[t.itemIdx] = append(hcell[t.itemIdx], col)
@@ -408,18 +407,25 @@ func (p *Planner) planLattice(a *analysis, opts Options) (*Plan, error) {
 					nhSelect = append(nhSelect, fmt.Sprintf(
 						"CASE WHEN sum(%s) <> 0 THEN sum(CASE WHEN %s THEN %s ELSE 0 END) / sum(%s) ELSE NULL END",
 						m, cond, m, m))
+					node.cols = append(node.cols, hvalue{emit: pctOf(cells+ci, total)})
 				}
 			}
 			for _, idx := range extras {
 				nhCols = append(nhCols, colDef(extraCol[idx], aggResultType(a.items[idx].agg, a.schema)))
 				nhSelect = append(nhSelect, mergeSelect(extraOp[idx], extraCol[idx]))
+				x := pv.add(&expr.AggCall{Fn: extraOp[idx]}, &expr.ColumnRef{Name: extraCol[idx]}, nil, nil)
+				node.cols = append(node.cols, hvalue{emit: cellOf(x, nil)})
+			}
+			fill := Step{Purpose: fmt.Sprintf("lattice node %s: pivot from FS", label),
+				SQL: fmt.Sprintf("INSERT INTO %s SELECT %s FROM %s%s",
+					nh, strings.Join(nhSelect, ", "), fs, groupClause)}
+			if !opts.Hpct.CaseTerms {
+				fill = pivotStep(fmt.Sprintf("lattice node %s: hash-pivot FS", label), fs, nil, pv, []fhPart{node})
 			}
 			plan.Steps = append(plan.Steps,
 				Step{Purpose: fmt.Sprintf("create summary for lattice node %s", label),
 					SQL: fmt.Sprintf("CREATE TABLE %s (%s)", nh, strings.Join(nhCols, ", "))},
-				Step{Purpose: fmt.Sprintf("lattice node %s: pivot from FS", label),
-					SQL: fmt.Sprintf("INSERT INTO %s SELECT %s FROM %s%s",
-						nh, strings.Join(nhSelect, ", "), fs, groupClause)},
+				fill,
 			)
 
 			var proj []string

@@ -8,145 +8,191 @@ import (
 	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/obs"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
 
 // The CASE strategies evaluate N boolean conjunctions per input row even
 // though the conjunctions are disjoint — one row falls in exactly one result
 // column. The paper observes the optimizer could map a row to its column in
-// O(1) with a hash table. These native steps implement that proposal: they
-// map (D1..Dj) to a group and (Dj+1..Dk) to a column index and hand the scan
-// to the engine's hash-pivot kernel (engine.Engine.Pivot). They exist as an
-// ablation of the CASE evaluation cost; results are identical to the SQL
-// plans.
+// O(1) with a hash table. The default horizontal plans do that: one native
+// step maps (D1..Dj) to a group and (Dj+1..Dk) to a column index and hands
+// the scan to the engine's hash-pivot kernel (engine.Engine.Pivot). The
+// literal CASE plans stay selectable (HpctOptions.CaseTerms,
+// HaggOptions.CaseTerms) to reproduce the paper's measurements; results are
+// identical.
 
-// planHpctHashPivot finishes a direct Hpct plan with a native pivot step.
-func (p *Planner) planHpctHashPivot(plan *Plan, a *analysis, call *expr.AggCall,
-	combos []combo, groupNames, valueNames []string, extras []int, extraNames []string) (*Plan, error) {
+// pivotPlan lays out one native hash pivot: the group key and the pivot
+// terms the engine folds. The pivot's output row is the group key followed
+// by each term's columns.
+type pivotPlan struct {
+	group []string
+	terms []pivotTerm
+	width int // output columns, group key included
+}
 
-	if len(extras) > 0 {
-		return nil, fmt.Errorf("core: HashPivot does not support extra aggregate terms")
+// pivotTerm is one pivoted aggregate over a column of the source: one
+// column per BY combination, or a single column folding every row of the
+// group when by is empty.
+type pivotTerm struct {
+	call   *expr.AggCall
+	arg    expr.Expr // unbound; nil folds a 1 per row (count(*))
+	by     []string
+	combos []combo
+}
+
+func newPivotPlan(group []string) *pivotPlan {
+	return &pivotPlan{group: group, width: len(group)}
+}
+
+// add appends a term and returns the output index of its first column.
+func (pv *pivotPlan) add(call *expr.AggCall, arg expr.Expr, by []string, combos []combo) int {
+	at := pv.width
+	pv.terms = append(pv.terms, pivotTerm{call: call, arg: arg, by: by, combos: combos})
+	if len(by) == 0 {
+		pv.width++
+	} else {
+		pv.width += len(combos)
 	}
-	fh, err := p.emitPivotTable(plan, a, groupNames, valueNames, storage.TypeFloat)
-	if err != nil {
-		return nil, err
+	return at
+}
+
+// sumOf adds sum(arg) over the BY combinations (or over the whole group
+// when by is empty).
+func (pv *pivotPlan) sumOf(arg expr.Expr, by []string, combos []combo) int {
+	return pv.add(&expr.AggCall{Fn: expr.AggSum}, arg, by, combos)
+}
+
+// addPartial adds the re-aggregation of an aggregate's distributive FV
+// partial columns to pv, per BY combination when by is set, and returns
+// how column ci of the term reads back: the partial's super-aggregate
+// (mergeOpFor), or for avg the summed partial sums over the summed partial
+// counts — the from-FV SQL plans' re-aggregation, DEFAULT included.
+func (pv *pivotPlan) addPartial(call *expr.AggCall, cols []string, by []string, combos []combo) func(ci int) emitFn {
+	if call.Fn == expr.AggAvg {
+		s := pv.sumOf(&expr.ColumnRef{Name: cols[0]}, by, combos)
+		c := pv.sumOf(&expr.ColumnRef{Name: cols[1]}, by, combos)
+		return func(ci int) emitFn { return ratioOf(s+ci, c+ci, call.Default) }
 	}
-	groupCols := append([]string{}, a.groupCols...)
-	where := a.where
-	plan.Steps = append(plan.Steps, Step{
-		Purpose: "hash-pivot F into FH (one O(1) column lookup per row)",
+	op, _ := mergeOpFor(call)
+	i := pv.add(&expr.AggCall{Fn: op}, &expr.ColumnRef{Name: cols[0]}, by, combos)
+	return func(ci int) emitFn { return cellOf(i+ci, call.Default) }
+}
+
+// emitFn computes one result column from a pivot output row.
+type emitFn func(row []value.Value) (value.Value, error)
+
+// cellOf reads output column i, or the DEFAULT literal when it is NULL.
+func cellOf(i int, deflt *expr.Literal) emitFn {
+	return func(row []value.Value) (value.Value, error) {
+		return orDefault(row[i], deflt), nil
+	}
+}
+
+// ratioOf divides output column s by output column c (NULL for a zero or
+// NULL divisor), or gives the DEFAULT literal when the ratio is NULL.
+func ratioOf(s, c int, deflt *expr.Literal) emitFn {
+	return func(row []value.Value) (value.Value, error) {
+		v, err := value.Div(row[s], row[c])
+		return orDefault(v, deflt), err
+	}
+}
+
+func orDefault(v value.Value, deflt *expr.Literal) value.Value {
+	if v.IsNull() && deflt != nil {
+		return deflt.Val
+	}
+	return v
+}
+
+// pctOf is Hpct's CASE WHEN sum(A) <> 0 THEN sum(CASE WHEN … THEN A ELSE 0
+// END) / sum(A) ELSE NULL END for cell column i and total column t: a
+// combination without rows, or with only NULL measures, contributes an
+// explicit zero, and a zero or NULL total makes the percentage NULL.
+func pctOf(i, t int) emitFn {
+	return func(row []value.Value) (value.Value, error) {
+		c := row[i]
+		if c.IsNull() {
+			c = value.NewInt(0)
+		}
+		return value.Div(c, row[t])
+	}
+}
+
+// zeroSumOf is sum(CASE WHEN … THEN pct ELSE 0 END) over FV, which holds
+// one row per (group, combination): the combination's percentage added to
+// the zeros of the group's other rows, or 0 when it has none.
+func zeroSumOf(i int) emitFn {
+	return func(row []value.Value) (value.Value, error) {
+		return engine.MergeCell(expr.AggSum, value.NewInt(0), row[i])
+	}
+}
+
+// emitHorizontalPivot creates the FH table(s) and fills them with one
+// native hash pivot over source, partitioning exactly as
+// emitHorizontalInserts does. Every value and extra column carries its
+// emit function. It returns which table holds each value/extra column.
+func (p *Planner) emitHorizontalPivot(plan *Plan, a *analysis, source string, where expr.Expr, pv *pivotPlan,
+	groupNames []string, vals, extraVals []hvalue, purpose string) map[string]string {
+
+	parts, holder := p.layoutFH(plan, groupNames, vals, extraVals)
+	for _, part := range parts {
+		plan.Steps = append(plan.Steps, createFH(part, a, groupNames))
+	}
+	if len(parts) > 1 {
+		purpose = fmt.Sprintf("%s (%d partitions)", purpose, len(parts))
+	}
+	plan.Steps = append(plan.Steps, pivotStep(purpose, source, where, pv, parts))
+	return holder
+}
+
+// pivotStep is the native step that runs pv over source and writes each
+// group's row — the group key, then every column of the part — into each
+// part's table.
+func pivotStep(purpose, source string, where expr.Expr, pv *pivotPlan, parts []fhPart) Step {
+	return Step{
+		Purpose: purpose,
 		native: func(ctx context.Context, eng *engine.Engine, parallelism int, span *obs.Span) error {
-			return runPivot(ctx, eng, a.table, fh, groupCols, call, combos, where, true, nil, parallelism, span)
+			return runPivot(ctx, eng, source, where, pv, parts, parallelism, span)
 		},
-	})
-	p.finishHorizontalPlan(plan, a, groupNames, valueNames, nil, singleHolder(fh, valueNames, nil))
-	return plan, nil
+	}
 }
 
-// planHaggHashPivot finishes a direct Hagg plan with a native pivot step.
-func (p *Planner) planHaggHashPivot(plan *Plan, a *analysis, call *expr.AggCall,
-	combos []combo, groupNames, valueNames []string) (*Plan, error) {
+// runPivot hash-pivots source into the parts' tables: the engine's pivot
+// kernel folds each row into its (group, column) cells on the partitioned
+// fold driver, under the step's context, limits and parallelism, and this
+// step computes and writes each group's result columns. span receives the
+// fold's spans (a sequential "pivot fold", or a concurrent partition
+// fan-out with one child per worker plus a merge), then the emit span.
+func runPivot(ctx context.Context, eng *engine.Engine, source string, where expr.Expr,
+	pv *pivotPlan, parts []fhPart, parallelism int, span *obs.Span) error {
 
-	if call.Distinct {
-		return nil, fmt.Errorf("core: HashPivot does not support count(DISTINCT …)")
-	}
-	fh, err := p.emitPivotTable(plan, a, groupNames, valueNames, aggResultType(call, a.schema))
-	if err != nil {
-		return nil, err
-	}
-	groupCols := append([]string{}, a.groupCols...)
-	where := a.where
-	var deflt *value.Value
-	if call.Default != nil {
-		v := call.Default.Val
-		deflt = &v
-	}
-	plan.Steps = append(plan.Steps, Step{
-		Purpose: "hash-pivot F into FH (one O(1) column lookup per row)",
-		native: func(ctx context.Context, eng *engine.Engine, parallelism int, span *obs.Span) error {
-			return runPivot(ctx, eng, a.table, fh, groupCols, call, combos, where, false, deflt, parallelism, span)
-		},
-	})
-	p.finishHorizontalPlan(plan, a, groupNames, valueNames, nil, singleHolder(fh, valueNames, nil))
-	return plan, nil
-}
-
-func singleHolder(table string, valueNames, extraNames []string) map[string]string {
-	m := make(map[string]string, len(valueNames)+len(extraNames))
-	for _, n := range valueNames {
-		m[n] = table
-	}
-	for _, n := range extraNames {
-		m[n] = table
-	}
-	return m
-}
-
-// emitPivotTable creates the FH table for a native pivot.
-func (p *Planner) emitPivotTable(plan *Plan, a *analysis, groupNames, valueNames []string,
-	valType storage.ColumnType) (string, error) {
-
-	fh := p.temp("fh")
-	plan.Cleanup = append(plan.Cleanup, Step{Purpose: "drop FH", SQL: "DROP TABLE IF EXISTS " + fh})
-	plan.ResultTable = fh
-	plan.ResultTables = []string{fh}
-	plan.N = len(valueNames)
-	var defs []string
-	for gi, g := range a.groupCols {
-		defs = append(defs, colDef(groupNames[gi], a.schema[a.schema.ColumnIndex(g)].Type))
-	}
-	for _, v := range valueNames {
-		defs = append(defs, colDef(v, valType))
-	}
-	pkey := ""
-	if len(groupNames) > 0 {
-		pkey = ", PRIMARY KEY(" + joinIdents(groupNames) + ")"
-	}
-	plan.Steps = append(plan.Steps, Step{Purpose: "create FH",
-		SQL: fmt.Sprintf("CREATE TABLE %s (%s%s)", fh, strings.Join(defs, ", "), pkey)})
-	return fh, nil
-}
-
-// runPivot hash-pivots F into FH: the engine's pivot kernel folds each
-// row into its (group, column) cell on the partitioned fold driver, under
-// the step's context, limits and parallelism, and this step writes the
-// cells out. In percentage mode each cell is divided by the group total at
-// emit time, with NULL for zero or all-NULL totals like the SQL plans.
-// span receives the fold's spans (a sequential "pivot fold", or a
-// concurrent partition fan-out with one child per worker plus a merge),
-// then the emit span that writes FH.
-func runPivot(ctx context.Context, eng *engine.Engine, table, fh string, groupCols []string,
-	call *expr.AggCall, combos []combo, where expr.Expr, pct bool, deflt *value.Value,
-	parallelism int, span *obs.Span) error {
-
-	src, err := eng.Catalog().Get(table)
-	if err != nil {
-		return err
-	}
-	dst, err := eng.Catalog().Get(fh)
+	src, err := eng.ResolveTable(source)
 	if err != nil {
 		return err
 	}
 	schema := src.Schema()
 	resolver := expr.SchemaResolver(schema.Names())
-	spec := engine.PivotSpec{Table: src, Cell: call, Total: pct, Columns: make(map[string]int, len(combos))}
-	if pct {
-		// Cells hold the measure sums the emit step divides by the total.
-		spec.Cell = &expr.AggCall{Fn: expr.AggSum}
-	}
-	for _, g := range groupCols {
+	spec := engine.PivotSpec{Table: src, Terms: make([]engine.PivotTerm, len(pv.terms))}
+	for _, g := range pv.group {
 		spec.Group = append(spec.Group, schema.ColumnIndex(g))
 	}
-	for _, b := range call.By {
-		spec.By = append(spec.By, schema.ColumnIndex(b))
-	}
-	for i, c := range combos {
-		spec.Columns[value.EncodeKeyString(c.vals...)] = i
-	}
-	if call.Arg != nil {
-		if spec.Measure, err = expr.Bind(call.Arg, resolver); err != nil {
-			return err
+	for ti, t := range pv.terms {
+		st := &spec.Terms[ti]
+		st.Call = t.call
+		if t.arg != nil {
+			if st.Arg, err = expr.Bind(t.arg, resolver); err != nil {
+				return err
+			}
+		}
+		if len(t.by) == 0 {
+			continue
+		}
+		for _, b := range t.by {
+			st.By = append(st.By, schema.ColumnIndex(b))
+		}
+		st.Columns = make(map[string]int, len(t.combos))
+		for i, c := range t.combos {
+			st.Columns[value.EncodeKeyString(c.vals...)] = i
 		}
 	}
 	if where != nil {
@@ -159,46 +205,43 @@ func runPivot(ctx context.Context, eng *engine.Engine, table, fh string, groupCo
 		return err
 	}
 
-	es := span.NewChild("emit " + fh)
-	ng := len(groupCols)
-	out := make([]value.Value, 0, ng+len(combos))
-	for gi, g := range groups {
-		if gi > 0 && gi%nativeStride == 0 {
-			if err := engine.CheckCtx(ctx); err != nil {
-				es.Attr("error", err.Error())
-				es.End()
-				return err
-			}
+	tables := make([]string, len(parts))
+	for i, part := range parts {
+		tables[i] = part.table
+	}
+	es := span.NewChild("emit " + strings.Join(tables, ", "))
+	fail := func(err error) error {
+		es.Attr("error", err.Error())
+		es.End()
+		return err
+	}
+	ng := len(pv.group)
+	out := make([]value.Value, 0, pv.width)
+	for _, part := range parts {
+		dst, err := eng.Catalog().Get(part.table)
+		if err != nil {
+			return fail(err)
 		}
-		out = append(out[:0], g[:ng]...)
-		cells := g[ng : ng+len(combos)]
-		if pct {
-			// sum(CASE … ELSE 0) semantics: a combination without rows, or
-			// with only NULL measures, contributes an explicit zero.
-			tf, ok := g[len(g)-1].AsFloat()
-			for _, c := range cells {
-				cf, _ := c.AsFloat()
-				if !ok || tf == 0 { // floateq:ok SQL division-by-zero guard: exact zero yields NULL
-					out = append(out, value.Null)
-				} else {
-					out = append(out, value.NewFloat(cf/tf))
+		for gi, g := range groups {
+			if gi > 0 && gi%nativeStride == 0 {
+				if err := engine.CheckCtx(ctx); err != nil {
+					return fail(err)
 				}
 			}
-		} else {
-			for _, c := range cells {
-				if c.IsNull() && deflt != nil {
-					c = *deflt
+			out = append(out[:0], g[:ng]...)
+			for _, c := range part.cols {
+				v, err := c.emit(g)
+				if err != nil {
+					return fail(err)
 				}
-				out = append(out, c)
+				out = append(out, v)
 			}
-		}
-		if _, err := dst.AppendRow(out); err != nil {
-			es.Attr("error", err.Error())
-			es.End()
-			return err
+			if _, err := dst.AppendRow(out); err != nil {
+				return fail(err)
+			}
 		}
 	}
 	es.End()
-	es.SetRows(int64(len(groups)), int64(len(groups)))
+	es.SetRows(int64(len(groups)), int64(len(groups)*len(parts)))
 	return nil
 }

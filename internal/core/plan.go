@@ -214,7 +214,9 @@ type Options struct {
 
 // DefaultOptions returns the strategies the paper's evaluation found best
 // overall: Fj from Fk, INSERT-based FV, subkey indexes on Fj/Fk, FH direct
-// from F, CASE-based horizontal aggregation direct from F.
+// from F, CASE-method horizontal aggregation direct from F. Both horizontal
+// classes evaluate their CASE transposition with the native hash pivot,
+// the zero value of CaseTerms; Options{} plans the same pivot.
 func DefaultOptions() Options {
 	return Options{
 		Vpct: VpctOptions{SubkeyIndexes: true},
@@ -265,10 +267,12 @@ type HpctOptions struct {
 	FromFV bool
 	// Vpct configures the embedded vertical plan when FromFV is set.
 	Vpct VpctOptions
-	// HashPivot replaces the N-CASE-per-row evaluation with the O(1)
-	// hash-based search the paper proposes as a query-optimizer
-	// improvement. Runs as a native step.
-	HashPivot bool
+	// CaseTerms evaluates the transposition as the paper's N sum(CASE …)
+	// terms instead of the default native hash pivot, which finds each
+	// row's column with the O(1) hash-based search the paper proposes as a
+	// query-optimizer improvement. Results are identical; the CASE plan
+	// stays selectable to reproduce the paper's Table 5.
+	CaseTerms bool
 }
 
 // HaggMethod selects the companion paper's evaluation strategy.
@@ -277,7 +281,8 @@ type HaggMethod int
 // Horizontal-aggregation methods.
 const (
 	// HaggCASE evaluates with N CASE terms in one aggregation (the
-	// efficient strategy).
+	// efficient strategy); unless HaggOptions.CaseTerms is set, the terms
+	// run as one native hash pivot.
 	HaggCASE HaggMethod = iota
 	// HaggSPJ evaluates with N filtered aggregate tables assembled by left
 	// outer joins (the relational-only strategy).
@@ -290,8 +295,11 @@ type HaggOptions struct {
 	// FromFV aggregates from the vertical pre-aggregate FV instead of F
 	// (the indirect sub-strategy).
 	FromFV bool
-	// HashPivot applies the hash-based CASE shortcut (CASE method only).
-	HashPivot bool
+	// CaseTerms evaluates the CASE method as literal CASE terms instead of
+	// the default native hash pivot (CASE method only). Results are
+	// identical; the CASE plan stays selectable to reproduce the companion
+	// paper's Table 3.
+	CaseTerms bool
 }
 
 // Plan analyzes the query and generates a plan using the given options.

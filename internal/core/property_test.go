@@ -133,12 +133,11 @@ func TestPropertyHpctStrategiesAgreeOnRandomData(t *testing.T) {
 			base := runOn(t, p, q, Options{})
 			fv := runOn(t, p, q, Options{Hpct: HpctOptions{FromFV: true, Vpct: VpctOptions{SubkeyIndexes: true}}})
 			sameResults(t, "hpct direct vs fromFV: "+q, base, fv)
+			cs := runOn(t, p, q, Options{Hpct: HpctOptions{CaseTerms: true}})
+			sameResults(t, "hpct hash pivot vs CASE: "+q, base, cs)
+			fvCase := runOn(t, p, q, Options{Hpct: HpctOptions{FromFV: true, Vpct: VpctOptions{SubkeyIndexes: true}, CaseTerms: true}})
+			sameResults(t, "hpct fromFV hash pivot vs CASE: "+q, fv, fvCase)
 		}
-		// Hash pivot only supports a single bare term.
-		q := "SELECT d1, Hpct(a BY d2) FROM f GROUP BY d1"
-		base := runOn(t, p, q, Options{})
-		hp := runOn(t, p, q, Options{Hpct: HpctOptions{HashPivot: true}})
-		sameResults(t, "hpct hash pivot", base, hp)
 	}
 }
 
@@ -155,6 +154,8 @@ func TestPropertyHaggStrategiesAgreeOnRandomData(t *testing.T) {
 	strategies := []Options{
 		{Hagg: HaggOptions{Method: HaggCASE}},
 		{Hagg: HaggOptions{Method: HaggCASE, FromFV: true}},
+		{Hagg: HaggOptions{Method: HaggCASE, CaseTerms: true}},
+		{Hagg: HaggOptions{Method: HaggCASE, FromFV: true, CaseTerms: true}},
 		{Hagg: HaggOptions{Method: HaggSPJ}},
 		{Hagg: HaggOptions{Method: HaggSPJ, FromFV: true}},
 	}

@@ -76,7 +76,6 @@ func TestTracedHashPivotWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	opts.Hpct.HashPivot = true
 	opts.Parallelism = 2
 	plan, err := p.Plan(sel, opts)
 	if err != nil {

@@ -74,29 +74,30 @@ func TestDifferentialBatchGoldenQueries(t *testing.T) {
 		{
 			sql: "SELECT store, Hpct(salesAmt BY dweek) FROM daily GROUP BY store",
 			opts: []core.Options{
+				{Hpct: core.HpctOptions{CaseTerms: true}},
+				{Hpct: core.HpctOptions{FromFV: true, Vpct: core.VpctOptions{SubkeyIndexes: true}, CaseTerms: true}},
 				{},
 				{Hpct: core.HpctOptions{FromFV: true, Vpct: core.VpctOptions{SubkeyIndexes: true}}},
-				{Hpct: core.HpctOptions{HashPivot: true}},
 			},
 		},
 		{
 			sql:  "SELECT state, Hpct(salesAmt BY city), sum(salesAmt) FROM sales GROUP BY state",
-			opts: []core.Options{{}},
+			opts: bothKernels(core.Options{}),
 		},
 		{
 			sql: "SELECT store, sum(salesAmt BY dweek) FROM daily GROUP BY store",
 			opts: []core.Options{
-				{Hagg: core.HaggOptions{Method: core.HaggCASE}},
+				{Hagg: core.HaggOptions{Method: core.HaggCASE, CaseTerms: true}},
 				{Hagg: core.HaggOptions{Method: core.HaggSPJ}},
-				{Hagg: core.HaggOptions{Method: core.HaggCASE, HashPivot: true}},
+				{Hagg: core.HaggOptions{Method: core.HaggCASE}},
 			},
 		},
 		{
 			sql:  "SELECT store, count(salesAmt BY dweek), avg(salesAmt BY dweek) FROM daily GROUP BY store",
-			opts: []core.Options{{Hagg: core.HaggOptions{Method: core.HaggCASE}}},
+			opts: bothKernels(core.Options{}),
 		},
 	}
-	for _, c := range cases {
+	for _, c := range append(cases, pivotShapes...) {
 		for oi, opts := range c.opts {
 			if err := CompareBatch(p, c.sql, opts, Parallelisms); err != nil {
 				t.Errorf("opts[%d]: %v", oi, err)
@@ -169,8 +170,10 @@ func TestDifferentialBatchPrimaryQueries(t *testing.T) {
 		if err := CompareBatch(p, q.vpct, core.DefaultOptions(), Parallelisms); err != nil {
 			t.Errorf("primary %d Vpct: %v", qi, err)
 		}
-		if err := CompareBatch(p, q.hpct, core.Options{}, Parallelisms); err != nil {
-			t.Errorf("primary %d Hpct: %v", qi, err)
+		for _, opts := range bothKernels(core.Options{}) {
+			if err := CompareBatch(p, q.hpct, opts, Parallelisms); err != nil {
+				t.Errorf("primary %d Hpct: %v", qi, err)
+			}
 		}
 	}
 }
@@ -278,35 +281,38 @@ func TestDifferentialBatchMetamorphicVpct(t *testing.T) {
 }
 
 // TestDifferentialBatchMetamorphicHpct rides the horizontal invariant on
-// the batch path: each Hpct row sums to 1 or NULL-propagates whole.
+// the batch path, under the hash pivot and under CASE terms: each Hpct row
+// sums to 1 or NULL-propagates whole.
 func TestDifferentialBatchMetamorphicHpct(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	for trial := 0; trial < 3; trial++ {
 		p := plannerFor(t, randTableRows(rng, 400))
 		p.Eng.SetBatch(true)
-		for _, par := range Parallelisms {
-			res, err := Run(p, "SELECT d1, Hpct(a BY d2) FROM f GROUP BY d1", core.Options{}, par)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for ri, row := range res.Rows {
-				sum := 0.0
-				nulls := 0
-				for _, v := range row[1:] {
-					if v.IsNull() {
-						nulls++
-						continue
-					}
-					f, _ := v.AsFloat()
-					sum += f
+		for _, opts := range bothKernels(core.Options{}) {
+			for _, par := range Parallelisms {
+				res, err := Run(p, "SELECT d1, Hpct(a BY d2) FROM f GROUP BY d1", opts, par)
+				if err != nil {
+					t.Fatal(err)
 				}
-				switch {
-				case nulls == len(row)-1:
-					// whole row NULL-propagated under the division-by-zero rule
-				case nulls > 0:
-					t.Fatalf("trial %d P=%d row %d: mixed NULL and non-NULL percentages: %v", trial, par, ri, row)
-				case sum < 1-1e-9 || sum > 1+1e-9:
-					t.Fatalf("trial %d P=%d row %d: percentages sum to %v, want 1", trial, par, ri, sum)
+				for ri, row := range res.Rows {
+					sum := 0.0
+					nulls := 0
+					for _, v := range row[1:] {
+						if v.IsNull() {
+							nulls++
+							continue
+						}
+						f, _ := v.AsFloat()
+						sum += f
+					}
+					switch {
+					case nulls == len(row)-1:
+						// whole row NULL-propagated under the division-by-zero rule
+					case nulls > 0:
+						t.Fatalf("trial %d P=%d row %d: mixed NULL and non-NULL percentages: %v", trial, par, ri, row)
+					case sum < 1-1e-9 || sum > 1+1e-9:
+						t.Fatalf("trial %d P=%d row %d: percentages sum to %v, want 1", trial, par, ri, sum)
+					}
 				}
 			}
 		}

@@ -67,50 +67,102 @@ func TestDifferentialGoldenQueries(t *testing.T) {
 			},
 		},
 		{
-			sql: "SELECT state, city, Vpct(salesAmt BY city), sum(salesAmt), count(*) FROM sales GROUP BY state, city",
+			sql:  "SELECT state, city, Vpct(salesAmt BY city), sum(salesAmt), count(*) FROM sales GROUP BY state, city",
 			opts: []core.Options{core.DefaultOptions()},
 		},
 		{
-			sql: "SELECT city, Vpct(salesAmt) FROM sales GROUP BY city",
+			sql:  "SELECT city, Vpct(salesAmt) FROM sales GROUP BY city",
 			opts: []core.Options{core.DefaultOptions()},
 		},
 		{
 			sql: "SELECT store, Hpct(salesAmt BY dweek) FROM daily GROUP BY store",
 			opts: []core.Options{
+				{Hpct: core.HpctOptions{CaseTerms: true}},
+				{Hpct: core.HpctOptions{FromFV: true, Vpct: core.VpctOptions{SubkeyIndexes: true}, CaseTerms: true}},
 				{},
 				{Hpct: core.HpctOptions{FromFV: true, Vpct: core.VpctOptions{SubkeyIndexes: true}}},
-				{Hpct: core.HpctOptions{HashPivot: true}},
 			},
 		},
 		{
-			sql: "SELECT state, Hpct(salesAmt BY city), sum(salesAmt) FROM sales GROUP BY state",
-			opts: []core.Options{{}},
+			sql:  "SELECT state, Hpct(salesAmt BY city), sum(salesAmt) FROM sales GROUP BY state",
+			opts: bothKernels(core.Options{}, core.Options{Hpct: core.HpctOptions{FromFV: true}}),
 		},
 		{
 			sql: "SELECT store, sum(salesAmt BY dweek) FROM daily GROUP BY store",
 			opts: []core.Options{
+				{Hagg: core.HaggOptions{Method: core.HaggCASE, CaseTerms: true}},
+				{Hagg: core.HaggOptions{Method: core.HaggCASE, FromFV: true, CaseTerms: true}},
+				{Hagg: core.HaggOptions{Method: core.HaggSPJ}},
 				{Hagg: core.HaggOptions{Method: core.HaggCASE}},
 				{Hagg: core.HaggOptions{Method: core.HaggCASE, FromFV: true}},
-				{Hagg: core.HaggOptions{Method: core.HaggSPJ}},
-				{Hagg: core.HaggOptions{Method: core.HaggCASE, HashPivot: true}},
 			},
 		},
 		{
-			sql: "SELECT store, max(1 BY dweek DEFAULT 0) FROM daily GROUP BY store",
-			opts: []core.Options{{Hagg: core.HaggOptions{Method: core.HaggCASE}}},
+			sql:  "SELECT store, max(1 BY dweek DEFAULT 0) FROM daily GROUP BY store",
+			opts: bothKernels(core.Options{}),
 		},
 		{
-			sql: "SELECT store, count(salesAmt BY dweek), avg(salesAmt BY dweek) FROM daily GROUP BY store",
-			opts: []core.Options{{Hagg: core.HaggOptions{Method: core.HaggCASE}}},
+			sql:  "SELECT store, count(salesAmt BY dweek), avg(salesAmt BY dweek) FROM daily GROUP BY store",
+			opts: bothKernels(core.Options{}, core.Options{Hagg: core.HaggOptions{FromFV: true}}),
 		},
 	}
-	for _, c := range cases {
+	for _, c := range append(cases, pivotShapes...) {
 		for oi, opts := range c.opts {
 			if err := Compare(p, c.sql, opts, Parallelisms); err != nil {
 				t.Errorf("opts[%d]: %v", oi, err)
 			}
 		}
 	}
+}
+
+// bothKernels lists every option set twice: as given (the hash pivot) and
+// with the literal CASE terms.
+func bothKernels(opts ...core.Options) []core.Options {
+	var out []core.Options
+	for _, o := range opts {
+		out = append(out, o, caseTerms(o))
+	}
+	return out
+}
+
+// caseTerms returns opts with both horizontal classes pinned to the
+// literal CASE terms instead of the hash pivot.
+func caseTerms(opts core.Options) core.Options {
+	opts.Hpct.CaseTerms = true
+	opts.Hagg.CaseTerms = true
+	return opts
+}
+
+// pivotShapes are the horizontal shapes the hash pivot covers beyond one
+// bare term, over goldenPlanner's tables: extra aggregates (avg and
+// count DISTINCT among them), two Hpct terms, count(DISTINCT … BY …),
+// from-FV transposition, and store 4's absent Monday under count and sum.
+// The core package's TestHpctHashPivotAgrees and TestHaggHashPivotAgrees
+// hold the two kernels to identical results on these shapes and more.
+var pivotShapes = []struct {
+	sql  string
+	opts []core.Options
+}{
+	{
+		sql:  "SELECT store, Hpct(salesAmt BY dweek), sum(salesAmt), avg(salesAmt), count(DISTINCT salesAmt), count(*) FROM daily GROUP BY store",
+		opts: bothKernels(core.Options{}),
+	},
+	{
+		sql:  "SELECT state, Hpct(salesAmt BY city), Hpct(1 BY city) FROM sales GROUP BY state",
+		opts: bothKernels(core.Options{}),
+	},
+	{
+		sql:  "SELECT state, count(DISTINCT salesAmt BY city), avg(salesAmt), count(DISTINCT city) FROM sales GROUP BY state",
+		opts: bothKernels(core.Options{}),
+	},
+	{
+		sql:  "SELECT store, Hpct(salesAmt BY dweek), avg(salesAmt), max(salesAmt) FROM daily GROUP BY store",
+		opts: bothKernels(core.Options{Hpct: core.HpctOptions{FromFV: true}}),
+	},
+	{
+		sql:  "SELECT store, sum(salesAmt BY dweek), count(salesAmt BY dweek), avg(salesAmt) FROM daily GROUP BY store",
+		opts: bothKernels(core.Options{}, core.Options{Hagg: core.HaggOptions{FromFV: true}}),
+	},
 }
 
 // TestDifferentialPrimaryQueries runs all eight primary benchmark queries
@@ -167,8 +219,10 @@ func TestDifferentialPrimaryQueries(t *testing.T) {
 				strings.Join(q.totals, ", "), q.measure, strings.Join(q.by, ", "),
 				q.dataset, strings.Join(q.totals, ", "))
 		}
-		if err := Compare(p, hpct, core.Options{}, Parallelisms); err != nil {
-			t.Errorf("primary %d Hpct: %v", qi, err)
+		for _, opts := range bothKernels(core.Options{}) {
+			if err := Compare(p, hpct, opts, Parallelisms); err != nil {
+				t.Errorf("primary %d Hpct: %v", qi, err)
+			}
 		}
 
 		var hagg string
@@ -180,8 +234,10 @@ func TestDifferentialPrimaryQueries(t *testing.T) {
 				strings.Join(q.totals, ", "), q.measure, strings.Join(q.by, ", "),
 				q.dataset, strings.Join(q.totals, ", "))
 		}
-		if err := Compare(p, hagg, core.Options{}, Parallelisms); err != nil {
-			t.Errorf("primary %d Hagg: %v", qi, err)
+		for _, opts := range bothKernels(core.Options{}) {
+			if err := Compare(p, hagg, opts, Parallelisms); err != nil {
+				t.Errorf("primary %d Hagg: %v", qi, err)
+			}
 		}
 	}
 }
@@ -233,8 +289,9 @@ func plannerFor(t *testing.T, rows [][]value.Value) *core.Planner {
 	return core.NewPlanner(engine.New(cat))
 }
 
-// propertyQueries are the eight shapes the randomized differential test
-// sweeps — the same shapes the core property tests pin across strategies.
+// propertyQueries are the shapes the randomized differential tests sweep:
+// the eight shapes the core property tests pin across strategies, then the
+// horizontal ones again under the hash pivot.
 var propertyQueries = []struct {
 	sql  string
 	opts core.Options
@@ -243,10 +300,13 @@ var propertyQueries = []struct {
 	{"SELECT d1, d2, d3, Vpct(a BY d2, d3) FROM f GROUP BY d1, d2, d3", core.Options{Vpct: core.VpctOptions{FjFromF: true}}},
 	{"SELECT d3, Vpct(a) FROM f GROUP BY d3", core.Options{Vpct: core.VpctOptions{UseUpdate: true}}},
 	{"SELECT d1, d2, Vpct(a BY d2), sum(a), count(*) FROM f GROUP BY d1, d2", core.DefaultOptions()},
+	{"SELECT d1, Hpct(a BY d2) FROM f GROUP BY d1", core.Options{Hpct: core.HpctOptions{CaseTerms: true}}},
+	{"SELECT d1, Hpct(a BY d2), sum(a), max(a) FROM f GROUP BY d1", core.Options{Hpct: core.HpctOptions{FromFV: true, Vpct: core.VpctOptions{SubkeyIndexes: true}, CaseTerms: true}}},
+	{"SELECT d1, sum(a BY d2, d3), count(*) FROM f GROUP BY d1", core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE, CaseTerms: true}}},
+	{"SELECT d1, min(a BY d3), max(a BY d3) FROM f GROUP BY d1", core.Options{Hagg: core.HaggOptions{Method: core.HaggSPJ}}},
 	{"SELECT d1, Hpct(a BY d2) FROM f GROUP BY d1", core.Options{}},
 	{"SELECT d1, Hpct(a BY d2), sum(a), max(a) FROM f GROUP BY d1", core.Options{Hpct: core.HpctOptions{FromFV: true, Vpct: core.VpctOptions{SubkeyIndexes: true}}}},
-	{"SELECT d1, sum(a BY d2, d3), count(*) FROM f GROUP BY d1", core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE}}},
-	{"SELECT d1, min(a BY d3), max(a BY d3) FROM f GROUP BY d1", core.Options{Hagg: core.HaggOptions{Method: core.HaggSPJ}}},
+	{"SELECT d1, sum(a BY d2, d3), count(DISTINCT a), count(*) FROM f GROUP BY d1", core.Options{}},
 }
 
 // TestDifferentialRandomizedProperty runs seeded random fact tables through
@@ -356,37 +416,40 @@ func TestDifferentialMetamorphicVpctRangePositive(t *testing.T) {
 	}
 }
 
-// TestDifferentialMetamorphicHpctRowSums: at every parallelism, each Hpct
-// row's percentage columns sum to 1 (100%), or the whole row NULL-propagates
-// when the group total is zero or NULL.
+// TestDifferentialMetamorphicHpctRowSums: at every parallelism, under the
+// hash pivot and under CASE terms, each Hpct row's percentage columns sum
+// to 1 (100%), or the whole row NULL-propagates when the group total is
+// zero or NULL.
 func TestDifferentialMetamorphicHpctRowSums(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 3; trial++ {
 		p := plannerFor(t, randTableRows(rng, 400))
-		for _, par := range Parallelisms {
-			res, err := Run(p, "SELECT d1, Hpct(a BY d2) FROM f GROUP BY d1", core.Options{}, par)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for ri, row := range res.Rows {
-				sum := 0.0
-				nulls, present := 0, 0
-				for _, v := range row[1:] {
-					if v.IsNull() {
-						nulls++
-						continue
-					}
-					present++
-					f, _ := v.AsFloat()
-					sum += f
+		for _, opts := range bothKernels(core.Options{}) {
+			for _, par := range Parallelisms {
+				res, err := Run(p, "SELECT d1, Hpct(a BY d2) FROM f GROUP BY d1", opts, par)
+				if err != nil {
+					t.Fatal(err)
 				}
-				switch {
-				case nulls == len(row)-1:
-					// whole row NULL-propagated: the division-by-zero rule
-				case nulls > 0:
-					t.Fatalf("trial %d P=%d row %d: mixed NULL and non-NULL percentages: %v", trial, par, ri, row)
-				case sum < 1-1e-9 || sum > 1+1e-9:
-					t.Fatalf("trial %d P=%d row %d: percentages sum to %v, want 1 (%d cols)", trial, par, ri, sum, present)
+				for ri, row := range res.Rows {
+					sum := 0.0
+					nulls, present := 0, 0
+					for _, v := range row[1:] {
+						if v.IsNull() {
+							nulls++
+							continue
+						}
+						present++
+						f, _ := v.AsFloat()
+						sum += f
+					}
+					switch {
+					case nulls == len(row)-1:
+						// whole row NULL-propagated: the division-by-zero rule
+					case nulls > 0:
+						t.Fatalf("trial %d P=%d row %d: mixed NULL and non-NULL percentages: %v", trial, par, ri, row)
+					case sum < 1-1e-9 || sum > 1+1e-9:
+						t.Fatalf("trial %d P=%d row %d: percentages sum to %v, want 1 (%d cols)", trial, par, ri, sum, present)
+					}
 				}
 			}
 		}

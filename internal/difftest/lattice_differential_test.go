@@ -24,7 +24,8 @@ var latticeQueries = []string{
 }
 
 // TestDifferentialLatticeParallelism: every lattice query is byte-identical
-// at P ∈ {1, 2, 8} on seeded random tables. On divergence the table is
+// at P ∈ {1, 2, 8} on seeded random tables, Hpct nodes under the hash pivot
+// and under CASE terms. On divergence the table is
 // ddmin-shrunk and dumped as a standalone SQL reproducer.
 func TestDifferentialLatticeParallelism(t *testing.T) {
 	defer leakcheck.Check(t)()
@@ -37,16 +38,18 @@ func TestDifferentialLatticeParallelism(t *testing.T) {
 		rows := randTableRows(rng, 150+rng.Intn(300))
 		p := plannerFor(t, rows)
 		for qi, sql := range latticeQueries {
-			err := Compare(p, sql, core.DefaultOptions(), Parallelisms)
-			if err == nil {
-				continue
+			for _, opts := range bothKernels(core.DefaultOptions()) {
+				err := Compare(p, sql, opts, Parallelisms)
+				if err == nil {
+					continue
+				}
+				fails := func(cand [][]value.Value) bool {
+					return Compare(plannerFor(t, cand), sql, opts, Parallelisms) != nil
+				}
+				minRows := MinimizeRows(rows, fails)
+				t.Fatalf("trial %d query %d: %v\nminimized reproducer (%d of %d rows):\n%s-- failing query: %s",
+					trial, qi, err, len(minRows), len(rows), DumpRows("f", randSchema, minRows), sql)
 			}
-			fails := func(cand [][]value.Value) bool {
-				return Compare(plannerFor(t, cand), sql, core.DefaultOptions(), Parallelisms) != nil
-			}
-			minRows := MinimizeRows(rows, fails)
-			t.Fatalf("trial %d query %d: %v\nminimized reproducer (%d of %d rows):\n%s-- failing query: %s",
-				trial, qi, err, len(minRows), len(rows), DumpRows("f", randSchema, minRows), sql)
 		}
 	}
 }

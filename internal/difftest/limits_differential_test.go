@@ -60,7 +60,8 @@ func (o limitOutcome) String() string {
 // distinct groups. Each limit is set just below and just above what the
 // fold needs, and every (P, batch) cell must return the identical error
 // code and message, or identical rows. The queries cover the batch kernel,
-// the scalar expression kernel, a CASE Hpct plan and the hash pivot. The
+// the scalar expression kernel, and Hpct and Hagg (with an extra aggregate)
+// under CASE terms and under the hash pivot. The
 // planner's feedback query runs at plan time, outside Options.Limits.
 func TestDifferentialLimits(t *testing.T) {
 	defer leakcheck.Check(t)()
@@ -75,8 +76,10 @@ func TestDifferentialLimits(t *testing.T) {
 	}{
 		{"SELECT g, sum(a) FROM f GROUP BY g", core.DefaultOptions()},
 		{"SELECT g, sum(a + 1) FROM f GROUP BY g", core.DefaultOptions()},
+		{"SELECT g, Hpct(a BY d) FROM f GROUP BY g", core.Options{Hpct: core.HpctOptions{CaseTerms: true}}},
 		{"SELECT g, Hpct(a BY d) FROM f GROUP BY g", core.DefaultOptions()},
-		{"SELECT g, Hpct(a BY d) FROM f GROUP BY g", core.Options{Hpct: core.HpctOptions{HashPivot: true}}},
+		{"SELECT g, sum(a BY d), sum(a) FROM f GROUP BY g", core.Options{Hagg: core.HaggOptions{CaseTerms: true}}},
+		{"SELECT g, sum(a BY d), sum(a) FROM f GROUP BY g", core.DefaultOptions()},
 	}
 	limits := []struct {
 		name  string

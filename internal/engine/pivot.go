@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/chaos"
 	"repro/internal/expr"
@@ -16,9 +15,10 @@ import (
 // one row falls in exactly one result column. The paper observes the
 // optimizer could map a row to its column in O(1) with a hash table; this
 // kernel does that in one scan of a stored table, hashing the group
-// columns to a group and the BY columns to a column index. It runs on the
-// fold driver (fold.go), so its cells are ordinary accumulators and it
-// shares the scalar and batch kernels' worker policy, merge and governor.
+// columns to a group and each term's BY columns to a column index. It runs
+// on the fold driver (fold.go), so its cells are ordinary accumulators and
+// it shares the scalar and batch kernels' worker policy, merge and
+// governor.
 
 // Pivot batch metrics: hash-pivot scans that ran with columnar row access
 // vs. ones pinned to the boxed-row path (batch execution off, or an
@@ -29,43 +29,60 @@ var (
 )
 
 // PivotSpec is a hash pivot over one stored table: every row passing Where
-// folds its measure into the cell at (its group, the column of its BY
+// folds, for each term, into the cell at (its group, the column of its BY
 // combination).
 type PivotSpec struct {
 	Table *storage.Table
-	// Where filters the input rows (nil keeps every row). Where and Measure
-	// are bound over the table's columns.
+	// Where filters the input rows (nil keeps every row). Where and the
+	// terms' arguments are bound over the table's columns.
 	Where expr.Expr
-	// Group and By are the group-key and BY column indexes.
-	Group, By []int
+	// Group holds the group-key column indexes.
+	Group []int
+	// Terms are the pivoted aggregates; their columns follow the group key
+	// in the output, term after term.
+	Terms []PivotTerm
+}
+
+// PivotTerm is one pivoted aggregate. A term without BY columns has one
+// column that folds every row of its group: a plain aggregate.
+type PivotTerm struct {
+	// Call is the aggregate every cell folds.
+	Call *expr.AggCall
+	// Arg is the folded value; nil folds a 1 per row (count(*)).
+	Arg expr.Expr
+	// By holds the BY column indexes.
+	By []int
 	// Columns maps a BY combination, encoded with value.EncodeKeyString, to
-	// its result column.
+	// its column. A row whose combination has no column (it appeared after
+	// the layout was planned) folds into no cell of the term, as a CASE
+	// term would count it in none of its columns.
 	Columns map[string]int
-	// Cell is the aggregate every cell folds.
-	Cell *expr.AggCall
-	// Measure is the folded value; nil folds a 1 per row (count(*)).
-	Measure expr.Expr
-	// Total additionally folds each group's sum of the measure.
-	Total bool
+}
+
+// width is the term's output column count.
+func (t *PivotTerm) width() int {
+	if len(t.By) == 0 {
+		return 1
+	}
+	return len(t.Columns)
 }
 
 // Pivot runs a hash pivot under ctx's cancellation and limits and returns
-// one row per group in first-appearance order: the group-key values, one
-// value per result column — NULL until a row of that combination arrives,
-// the cell's aggregate after — and, when spec.Total is set, the group's
-// total. span receives the fold's spans.
+// one row per group in first-appearance order: the group-key values, then
+// each term's columns — NULL until a row of that combination arrives, the
+// cell's aggregate after. A plain aggregate term's cell exists from the
+// start, so it renders as its aggregate over no rows in the one group an
+// empty input yields without a group key.
 func (e *Engine) Pivot(ctx context.Context, spec PivotSpec, parallelism int, span *obs.Span) ([][]value.Value, error) {
 	tab := spec.Table
-	k := &pivotKernel{spec: spec}
+	k := newPivotKernel(spec)
 	// Row access: with batch execution on, typed getters and a lazy row view
 	// read only the cells the pivot touches; otherwise each row is boxed
 	// whole. Values, evaluation order and errors are identical either way.
 	// An injected core.batch fault pins the boxed path for this statement.
-	batched := e.BatchEnabled() && chaos.Hit(chaos.CoreBatch) == nil
-	if batched {
+	if e.BatchEnabled() && chaos.Hit(chaos.CoreBatch) == nil {
 		mPivotBatch.Inc()
-		k.groupGet = tableGetters(tab, spec.Group)
-		k.byGet = tableGetters(tab, spec.By)
+		k.batched = true
 	} else {
 		mPivotBatchFallback.Inc()
 	}
@@ -78,68 +95,92 @@ func (e *Engine) Pivot(ctx context.Context, spec PivotSpec, parallelism int, spa
 		rows:     tab.NumRows(),
 		kernel:   k.fold,
 		newAccs:  k.newAccs,
+		global:   len(spec.Group) == 0,
 		stored:   storedRowBytes(tab),
 		foldSpan: "pivot fold",
 	}
 	return f.run()
 }
 
-// tableGetters builds typed getters for the given columns of tab.
-func tableGetters(tab *storage.Table, cols []int) []colGetter {
-	gets := make([]colGetter, len(cols))
-	for i, c := range cols {
-		gets[i] = columnGetter(tab, c)
-	}
-	return gets
-}
-
 // pivotKernel folds table rows into (group, column) cells.
 type pivotKernel struct {
 	spec PivotSpec
-	// groupGet and byGet are the typed column getters of the batched row
-	// access; nil selects boxed rows.
-	groupGet, byGet []colGetter
+	// batched selects typed getters and a lazy row view over boxed rows.
+	batched bool
+	// off is each term's first accumulator index; width the total.
+	off   []int
+	width int
+	// args are the distinct term arguments, evaluated once per row;
+	// argOf[t] indexes term t's (-1: count(*)).
+	args  []expr.Expr
+	argOf []int
 }
 
-// newAccs builds a group's accumulators: one per result column, created
-// when the column's first row arrives, then the total when asked for.
-func (k *pivotKernel) newAccs() ([]accumulator, error) {
-	n := len(k.spec.Columns)
-	if !k.spec.Total {
-		return make([]accumulator, n), nil
+func newPivotKernel(spec PivotSpec) *pivotKernel {
+	k := &pivotKernel{spec: spec, off: make([]int, len(spec.Terms)), argOf: make([]int, len(spec.Terms))}
+	seen := map[string]int{}
+	for ti := range spec.Terms {
+		t := &spec.Terms[ti]
+		k.off[ti] = k.width
+		k.width += t.width()
+		k.argOf[ti] = -1
+		if t.Arg == nil {
+			continue
+		}
+		s := t.Arg.String()
+		ai, ok := seen[s]
+		if !ok {
+			ai = len(k.args)
+			seen[s] = ai
+			k.args = append(k.args, t.Arg)
+		}
+		k.argOf[ti] = ai
 	}
-	accs := make([]accumulator, n+1)
-	accs[n] = &sumAcc{}
+	return k
+}
+
+// newAccs builds a group's accumulators: a BY term's cells are created
+// when their first row arrives, a plain aggregate's cell at once.
+func (k *pivotKernel) newAccs() ([]accumulator, error) {
+	accs := make([]accumulator, k.width)
+	for ti := range k.spec.Terms {
+		t := &k.spec.Terms[ti]
+		if len(t.By) > 0 {
+			continue
+		}
+		acc, err := newAccumulator(t.Call)
+		if err != nil {
+			return nil, err
+		}
+		accs[k.off[ti]] = acc
+	}
 	return accs, nil
 }
 
 func (k *pivotKernel) fold(p *foldPart[string], lo, hi int) error {
 	spec := &k.spec
+	tab := spec.Table
 	box := &rowBox{}
-	lazy := &lazyRow{tab: k.spec.Table}
-	groupGet, byGet := k.groupGet, k.byGet
-	if groupGet == nil {
-		boxed := func(cols []int) []colGetter {
-			gets := make([]colGetter, len(cols))
-			for i, c := range cols {
-				gets[i] = func(int) value.Value { return box.vals[c] }
-			}
-			return gets
-		}
-		groupGet, byGet = boxed(spec.Group), boxed(spec.By)
+	lazy := &lazyRow{tab: tab}
+	var rv expr.Row = box
+	if k.batched {
+		rv = lazy
+	}
+	groupGet := k.getters(spec.Group, box)
+	byGet := make([][]colGetter, len(spec.Terms))
+	for ti := range spec.Terms {
+		byGet[ti] = k.getters(spec.Terms[ti].By, box)
 	}
 	keyVals := make([]value.Value, len(spec.Group))
+	argVals := make([]value.Value, len(k.args))
 	byKey := make([]byte, 0, 64)
-	ncols := len(spec.Columns)
 	for base := lo; base < hi; base += govStride {
 		end := min(base+govStride, hi)
 		for r := base; r < end; r++ {
-			var rv expr.Row = box
-			if k.groupGet != nil {
+			if k.batched {
 				lazy.r = r
-				rv = lazy
 			} else {
-				box.vals = k.spec.Table.Row(r, box.vals)
+				box.vals = tab.Row(r, box.vals)
 			}
 			if spec.Where != nil {
 				v, err := spec.Where.Eval(rv)
@@ -165,35 +206,36 @@ func (k *pivotKernel) fold(p *foldPart[string], lo, hi int) error {
 					return err
 				}
 			}
-			byKey = byKey[:0]
-			for _, get := range byGet {
-				byKey = value.AppendKey(byKey, get(r))
-			}
-			ci, ok := spec.Columns[string(byKey)]
-			if !ok {
-				// A combination outside the planned layout (possible only if
-				// the table changed between planning and execution).
-				return fmt.Errorf("engine: pivot row %d has a BY combination absent from the planned column layout", r)
-			}
-			mv := value.NewInt(1)
-			if spec.Measure != nil {
+			for ai, a := range k.args {
 				var err error
-				if mv, err = spec.Measure.Eval(rv); err != nil {
+				if argVals[ai], err = a.Eval(rv); err != nil {
 					return err
 				}
 			}
-			if g.accs[ci] == nil {
-				acc, err := newAccumulator(spec.Cell)
-				if err != nil {
-					return err
+			for ti := range spec.Terms {
+				t := &spec.Terms[ti]
+				ci := 0
+				if len(t.By) > 0 {
+					byKey = byKey[:0]
+					for _, get := range byGet[ti] {
+						byKey = value.AppendKey(byKey, get(r))
+					}
+					if ci, ok = t.Columns[string(byKey)]; !ok {
+						continue
+					}
 				}
-				g.accs[ci] = acc
-			}
-			if err := g.accs[ci].add(mv); err != nil {
-				return err
-			}
-			if spec.Total {
-				if err := g.accs[ncols].add(mv); err != nil {
+				mv := value.NewInt(1)
+				if ai := k.argOf[ti]; ai >= 0 {
+					mv = argVals[ai]
+				}
+				acc := &g.accs[k.off[ti]+ci]
+				if *acc == nil {
+					var err error
+					if *acc, err = newAccumulator(t.Call); err != nil {
+						return err
+					}
+				}
+				if err := (*acc).add(mv); err != nil {
 					return err
 				}
 			}
@@ -206,4 +248,18 @@ func (k *pivotKernel) fold(p *foldPart[string], lo, hi int) error {
 		}
 	}
 	return nil
+}
+
+// getters returns the getters of cols: typed column getters under batched
+// access, reads of the boxed row otherwise.
+func (k *pivotKernel) getters(cols []int, box *rowBox) []colGetter {
+	gets := make([]colGetter, len(cols))
+	for i, c := range cols {
+		if k.batched {
+			gets[i] = columnGetter(k.spec.Table, c)
+		} else {
+			gets[i] = func(int) value.Value { return box.vals[c] }
+		}
+	}
+	return gets
 }

@@ -7,8 +7,9 @@
 // strategy advisories from the cost-based advisor.
 //
 // Warning checks are data-aware: they run the same feedback queries the
-// planner uses (SELECT DISTINCT over the subgrouping columns) against live
-// data, so a query lints differently on different tables — by design. The
+// planner uses (the distinct subgrouping combinations, SELECT … GROUP BY
+// over the subgrouping columns) against live data, so a query lints
+// differently on different tables — by design. The
 // paper's failure modes are properties of the data, not the text.
 package lint
 

@@ -23,12 +23,12 @@ func TestTraceSpansAllClosed(t *testing.T) {
 	}{
 		{name: "standard", sql: "SELECT state, sum(salesAmt) FROM sales GROUP BY state"},
 		{name: "vpct", sql: "SELECT state, city, Vpct(salesAmt BY city) FROM sales GROUP BY state, city"},
+		{name: "hpct-hash-pivot", sql: "SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state"},
 		{
-			name: "hpct-hash-pivot",
-			prep: func(db *DB) { db.SetStrategies(Strategies{Hpct: HpctStrategy{HashPivot: true}}) },
+			name: "hpct-sql",
+			prep: func(db *DB) { db.SetStrategies(Strategies{Hpct: HpctStrategy{CaseTerms: true}}) },
 			sql:  "SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state",
 		},
-		{name: "hpct-sql", sql: "SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state"},
 		// Runtime error mid-statement: ORDER BY a column that does not exist
 		// fails after the scan has produced rows (the fixed sort-span path).
 		{name: "sort-error", sql: "SELECT state FROM sales ORDER BY nosuch", wantErr: true},

@@ -129,7 +129,8 @@ func TestAllStrategiesAgreeThroughPublicAPI(t *testing.T) {
 	variants := []Strategies{
 		DefaultStrategies(),
 		{Hpct: HpctStrategy{FromVertical: true}},
-		{Hpct: HpctStrategy{HashPivot: true}},
+		{Hpct: HpctStrategy{CaseTerms: true}},
+		{Hpct: HpctStrategy{FromVertical: true, CaseTerms: true}},
 	}
 	var base *Rows
 	for _, s := range variants {

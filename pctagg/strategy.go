@@ -3,9 +3,11 @@ package pctagg
 import "repro/internal/core"
 
 // Strategies selects how percentage and horizontal queries are evaluated.
-// The zero value is NOT the recommended configuration; use
-// DefaultStrategies (the settings the paper's evaluation found best) and
-// adjust from there.
+// The zero value is NOT the recommended configuration (it drops the Vpct
+// subkey indexes); use DefaultStrategies (the settings the paper's
+// evaluation found best) and adjust from there. Both, like every
+// configuration that leaves CaseTerms off, evaluate Hpct and Hagg with the
+// hash pivot.
 type Strategies struct {
 	Vpct VpctStrategy
 	Hpct HpctStrategy
@@ -36,10 +38,11 @@ type HpctStrategy struct {
 	// instead of directly from F. Recommended when the BY columns are
 	// three or more, or highly selective.
 	FromVertical bool
-	// HashPivot evaluates the transposition with one hash lookup per row
-	// instead of N CASE terms — the optimizer improvement the paper
-	// proposes.
-	HashPivot bool
+	// CaseTerms evaluates the transposition as the paper's N CASE terms
+	// instead of the default hash pivot, which finds each row's column with
+	// one hash lookup — the optimizer improvement the paper proposes.
+	// Results are identical; CASE terms reproduce the paper's Table 5.
+	CaseTerms bool
 }
 
 // HaggStrategy mirrors the companion paper's Table 3 strategies.
@@ -49,13 +52,16 @@ type HaggStrategy struct {
 	SPJ bool
 	// FromVertical aggregates from the pre-aggregate FV instead of F.
 	FromVertical bool
-	// HashPivot evaluates CASE transposition with one hash lookup per row.
-	HashPivot bool
+	// CaseTerms evaluates the CASE strategy as literal CASE terms instead
+	// of the default hash pivot (one hash lookup per row). Results are
+	// identical; CASE terms reproduce the companion paper's Table 3.
+	CaseTerms bool
 }
 
 // DefaultStrategies returns the paper's recommended settings: Fj from Fk,
-// INSERT-based FV with subkey indexes, FH directly from F, CASE-based
-// horizontal aggregation directly from F.
+// INSERT-based FV with subkey indexes, FH directly from F, CASE-strategy
+// horizontal aggregation directly from F. Both horizontal classes
+// evaluate their CASE transposition as a hash pivot (CaseTerms off).
 func DefaultStrategies() Strategies {
 	return Strategies{Vpct: VpctStrategy{SubkeyIndexes: true}}
 }
@@ -89,12 +95,12 @@ func (s Strategies) coreOptions() core.Options {
 		Hpct: core.HpctOptions{
 			FromFV:    s.Hpct.FromVertical,
 			Vpct:      core.VpctOptions{SubkeyIndexes: true},
-			HashPivot: s.Hpct.HashPivot,
+			CaseTerms: s.Hpct.CaseTerms,
 		},
 		Hagg: core.HaggOptions{
 			Method:    method,
 			FromFV:    s.Hagg.FromVertical,
-			HashPivot: s.Hagg.HashPivot,
+			CaseTerms: s.Hagg.CaseTerms,
 		},
 	}
 }
